@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from . import linalg
-from .errors import PreconditionError, SpaceMismatchError, ValidationError
+from .errors import CertificateError, PreconditionError, SpaceMismatchError, ValidationError
 from .exactlp import LinearConstraint, LinearProgram, LPStatus, solve
 from .measure import FiniteProbabilitySpace, RandomVariable, abs_pairing
 from .rational import INF, ExtendedValue
@@ -102,7 +102,8 @@ def gauge(body: AbsolutelyConvexBody, x: RandomVariable) -> ExtendedValue:
     outcome = solve(lp)
     if outcome.status is LPStatus.INFEASIBLE:
         return INF
-    assert outcome.status is LPStatus.OPTIMAL
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise CertificateError("gauge LP reported unbounded below zero")
     return outcome.value
 
 
@@ -117,8 +118,27 @@ def polar_gauge(body: AbsolutelyConvexBody, g: RandomVariable) -> Fraction:
     return max(abs_pairing(v, g) for v in body.generators)
 
 
-def _sign_patterns(indices: list[int]) -> Iterable[tuple[int, ...]]:
-    return product((1, -1), repeat=len(indices))
+def _sign_patterns(support: list[int]) -> Iterable[tuple[int, ...]]:
+    """Sign patterns over the support with the first sign +1, in the order of
+    ``product((1, -1), ...)``: K = -K, so a pattern's mirror decides the same
+    question.  An empty support has the one empty pattern."""
+    if len(support) > SIGN_PATTERN_ATOM_CAP:
+        raise PreconditionError(
+            f"support size {len(support)} exceeds the sign-pattern cap {SIGN_PATTERN_ATOM_CAP}"
+        )
+    if not support:
+        return [()]
+    return ((1,) + rest for rest in product((1, -1), repeat=len(support) - 1))
+
+
+def _sign_flips(v: RandomVariable) -> Iterable[tuple[Fraction, ...]]:
+    """|v| under every sign pattern over its support, one per +/- pair."""
+    support = [i for i, val in enumerate(v.values) if val != 0]
+    for pattern in _sign_patterns(support):
+        values = [_F0] * len(v.values)
+        for s, i in zip(pattern, support):
+            values[i] = s * abs(v.values[i])
+        yield tuple(values)
 
 
 def solid_hull_member(
@@ -127,16 +147,13 @@ def solid_hull_member(
     """Whether some g in K dominates |f| coordinatewise; returns the witness.
 
     One feasibility LP per sign pattern of g over the support of f (atoms
-    where f vanishes impose nothing).  Support size is capped at
-    SIGN_PATTERN_ATOM_CAP.
+    where f vanishes impose nothing), with the sign on the first support atom
+    fixed to +1: g dominates under a pattern iff -g does under its mirror.
+    Support size is capped at SIGN_PATTERN_ATOM_CAP.
     """
     if f.space != body.space:
         raise SpaceMismatchError("point lives on a different space")
     support = [i for i, v in enumerate(f.values) if v != 0]
-    if len(support) > SIGN_PATTERN_ATOM_CAP:
-        raise PreconditionError(
-            f"support size {len(support)} exceeds the sign-pattern cap {SIGN_PATTERN_ATOM_CAP}"
-        )
     m = len(body.generators)
     norm_row = LinearConstraint(tuple([_F1] * (2 * m)), "<=", _F1)
     for pattern in _sign_patterns(support):
@@ -178,7 +195,8 @@ def bipolar_member(body: AbsolutelyConvexBody, f: RandomVariable) -> bool:
     outcome = solve(lp)
     if outcome.status is LPStatus.UNBOUNDED:
         return False
-    assert outcome.status is LPStatus.OPTIMAL
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise CertificateError("bipolar LP reported infeasible at h = 0")
     return -outcome.value <= _F1
 
 
@@ -190,43 +208,28 @@ def solid_check(
     K is solid iff every sign flip of |v| stays in K for every generator v:
     boxes over generators generate all boxes by convexity and coordinatewise
     clipping (cross-checked against a brute-force oracle in the test suite).
+    Membership is symmetric under x -> -x, so one flip per +/- pair is tested.
     """
     for v in body.generators:
-        support = [i for i, val in enumerate(v.values) if val != 0]
-        if len(support) > SIGN_PATTERN_ATOM_CAP:
-            raise PreconditionError(
-                f"support size {len(support)} exceeds the sign-pattern cap {SIGN_PATTERN_ATOM_CAP}"
-            )
-        for pattern in _sign_patterns(support):
-            values = [_F0] * body.space.size
-            for s, i in zip(pattern, support):
-                values[i] = s * abs(v.values[i])
-            candidate = RandomVariable(body.space, tuple(values))
+        for values in _sign_flips(v):
+            candidate = RandomVariable(body.space, values)
             if not member(body, candidate):
                 return False, candidate
     return True, None
 
 
 def solid_hull(body: AbsolutelyConvexBody) -> AbsolutelyConvexBody:
-    """The solid hull of K as a body: all sign flips of |v| over generators."""
+    """The solid hull of K as a body: all sign flips of |v| over generators.
+
+    Flips lead with a positive entry, so none mirrors another; repeats go.
+    """
     seen: set[tuple[Fraction, ...]] = set()
     hull: list[RandomVariable] = []
     for v in body.generators:
         if v.is_zero():
             continue
-        support = [i for i, val in enumerate(v.values) if val != 0]
-        if len(support) > SIGN_PATTERN_ATOM_CAP:
-            raise PreconditionError(
-                f"support size {len(support)} exceeds the sign-pattern cap {SIGN_PATTERN_ATOM_CAP}"
-            )
-        for pattern in _sign_patterns(support):
-            values = [_F0] * body.space.size
-            for s, i in zip(pattern, support):
-                values[i] = s * abs(v.values[i])
-            key = tuple(values)
-            mirror = tuple(-x for x in values)
-            if key in seen or mirror in seen:
-                continue
-            seen.add(key)
-            hull.append(RandomVariable(body.space, key))
+        for values in _sign_flips(v):
+            if values not in seen:
+                seen.add(values)
+                hull.append(RandomVariable(body.space, values))
     return AbsolutelyConvexBody(body.space, tuple(hull))

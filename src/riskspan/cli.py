@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 validation error (bad schema or literals),
 3 precondition failure (for example a non-viable market), 4 unreadable
-input file.  Machine reports are canonical JSON and byte-identical across
-runs on identical inputs.
+input file, 5 certificate failure (an LP answer failed exact
+re-verification; a defect, not an input error).  Machine reports are
+canonical JSON and byte-identical across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bodies, market, risk, schema
-from .errors import PreconditionError, ValidationError
+from .errors import CertificateError, PreconditionError, ValidationError
 from .exactlp import VERTEX_DIMENSION_CAP
 from .rational import format_extended, format_rational
 
@@ -210,6 +211,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 4
+    except CertificateError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return 5
     if args.format == "json":
         sys.stdout.write(schema.canonical_json(report))
     else:

@@ -328,7 +328,8 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     for k in range(m):
         cost1[norm.art0 + k] = _F1
     state, _enter, red = _bland_simplex(tableau, basis, cost1, norm.ncols)
-    assert state == "optimal"
+    if state != "optimal":
+        raise CertificateError("phase one reported unbounded below zero")
     phase1_value = sum((cost1[basis[k]] * tableau[k][-1] for k in range(m)), _F0)
 
     if phase1_value > 0:
@@ -353,7 +354,8 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     )
     point = _point_from_basis(norm, tableau, basis)
     if state == "unbounded":
-        assert enter is not None
+        if enter is None:
+            raise CertificateError("unbounded phase two without an entering column")
         direction = [_F0] * norm.ncols
         direction[enter] = _F1
         for i, row in enumerate(tableau):
@@ -401,18 +403,28 @@ def _reduced_costs(lp: LinearProgram, user_dual: Sequence[Fraction]) -> list[Fra
 # certificate verification
 
 
+def _row_violation(
+    constraints: Sequence[LinearConstraint], point: Sequence[Fraction]
+) -> Optional[str]:
+    """What the first constraint row violated at the point says, or None."""
+    for con in constraints:
+        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
+        if con.relation == "=" and lhs != con.rhs:
+            return "equality row violated"
+        if con.relation == "<=" and lhs > con.rhs:
+            return "<= row violated"
+        if con.relation == ">=" and lhs < con.rhs:
+            return ">= row violated"
+    return None
+
+
 def _check_feasible(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     n = len(lp.objective)
     if len(point) != n:
         raise CertificateError("point length differs from variable count")
-    for con in lp.constraints:
-        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
-        if con.relation == "=" and lhs != con.rhs:
-            raise CertificateError("equality row violated")
-        if con.relation == "<=" and lhs > con.rhs:
-            raise CertificateError("<= row violated")
-        if con.relation == ">=" and lhs < con.rhs:
-            raise CertificateError(">= row violated")
+    violation = _row_violation(lp.constraints, point)
+    if violation is not None:
+        raise CertificateError(violation)
     for j in range(n):
         if lp.lower[j] is not None and point[j] < lp.lower[j]:
             raise CertificateError("lower bound violated")
@@ -567,18 +579,6 @@ def vertex_enumeration(
         point = linalg.solve_exact(sub, [constraints[i].rhs for i in subset])
         if point is None:
             continue
-        if _satisfies_all(constraints, point):
+        if _row_violation(constraints, point) is None:
             vertices.add(tuple(point))
     return sorted(vertices)
-
-
-def _satisfies_all(constraints: Sequence[LinearConstraint], point: Sequence[Fraction]) -> bool:
-    for con in constraints:
-        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
-        if con.relation == "=" and lhs != con.rhs:
-            return False
-        if con.relation == "<=" and lhs > con.rhs:
-            return False
-        if con.relation == ">=" and lhs < con.rhs:
-            return False
-    return True

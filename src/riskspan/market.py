@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .bodies import AbsolutelyConvexBody
-from .errors import PreconditionError, SpaceMismatchError, ValidationError
+from .errors import CertificateError, PreconditionError, SpaceMismatchError, ValidationError
 from .exactlp import (
     VERTEX_DIMENSION_CAP,
     LinearConstraint,
@@ -212,22 +211,29 @@ class Witness:
     measure_max: Measure
 
 
-def emm_set(tree: MarketTree) -> MartingaleMeasureSet:
-    """One equality row per internal node per asset, in leaf-mass variables."""
+def _gain_vectors(tree: MarketTree) -> Iterator[tuple[str, tuple[Fraction, ...]]]:
+    """Per internal node and asset: a label and the leafwise one-step price move.
+
+    The move is the terminal gain of holding one unit of the asset at that
+    node only, and also the node's martingale row in leaf-mass variables.
+    """
     space = tree.space
-    rows: list[tuple[Fraction, ...]] = []
     for nid in tree.internal_nodes():
         node = tree.node(nid)
         for k in range(tree.asset_count):
-            coeffs = [_F0] * space.size
+            values = [_F0] * space.size
             for kid in tree.children(nid):
                 move = tree.node(kid).prices[k] - node.prices[k]
                 if move == 0:
                     continue
                 for leaf in tree.leaves_below(kid):
-                    coeffs[space.index(leaf)] = move
-            rows.append(tuple(coeffs))
-    return MartingaleMeasureSet(space, tuple(rows))
+                    values[space.index(leaf)] = move
+            yield f"{nid}/asset{k}", tuple(values)
+
+
+def emm_set(tree: MarketTree) -> MartingaleMeasureSet:
+    """One equality row per internal node per asset, in leaf-mass variables."""
+    return MartingaleMeasureSet(tree.space, tuple(row for _label, row in _gain_vectors(tree)))
 
 
 def viability_certificate(tree: MarketTree) -> tuple[Fraction, Optional[Measure]]:
@@ -251,7 +257,8 @@ def viability_certificate(tree: MarketTree) -> tuple[Fraction, Optional[Measure]
     outcome = solve(lp)
     if outcome.status is LPStatus.INFEASIBLE:
         return _F0, None
-    assert outcome.status is LPStatus.OPTIMAL
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise CertificateError("viability LP reported unbounded over the simplex")
     slack = -outcome.value
     measure = Measure(tree.space, outcome.point[:n])
     return slack, measure
@@ -273,36 +280,26 @@ def strategy_basis(tree: MarketTree) -> StrategyBasis:
     space = tree.space
     elements = [RandomVariable.constant(space, 1)]
     labels = ["constant"]
-    for nid in tree.internal_nodes():
-        node = tree.node(nid)
-        for k in range(tree.asset_count):
-            values = [_F0] * space.size
-            for kid in tree.children(nid):
-                move = tree.node(kid).prices[k] - node.prices[k]
-                if move == 0:
-                    continue
-                for leaf in tree.leaves_below(kid):
-                    values[space.index(leaf)] = move
-            elements.append(RandomVariable(space, tuple(values)))
-            labels.append(f"{nid}/asset{k}")
+    for label, values in _gain_vectors(tree):
+        elements.append(RandomVariable(space, values))
+        labels.append(label)
     return StrategyBasis(space, tuple(elements), tuple(labels))
 
 
 def attainable(
     tree: MarketTree, xi: RandomVariable
 ) -> tuple[bool, Optional[tuple[Fraction, dict[str, tuple[Fraction, ...]]]]]:
-    """Attainability via matching expectation bounds; hedge by backward solve.
+    """Attainability and hedge by one node-by-node backward replication solve.
 
     Returns (True, (a, hedge)) with xi = a + accumulated hedge gains exactly,
     or (False, None).  The hedge maps each internal node to its asset vector.
+    In a viable market a solution at every node replicates xi, and an
+    attainable claim's value process solves every node, so a node without a
+    solution decides (False, None).
     """
     if xi.space != tree.space:
         raise SpaceMismatchError("claim lives on a different space")
     _require_viable(tree)
-    low, high, _m1, _m2 = emm_set(tree).bounds(xi)
-    if low != high:
-        return False, None
-
     values: dict[str, Fraction] = {
         leaf: xi.values[tree.space.index(leaf)] for leaf in tree.space.atoms
     }
@@ -318,7 +315,7 @@ def attainable(
             rhs.append(values[kid])
         solution = linalg.solve_exact(rows, rhs)
         if solution is None:
-            raise AssertionError("expectation bounds matched but replication failed")
+            return False, None
         values[nid] = solution[0]
         hedge[nid] = tuple(solution[1:])
     return True, (values[tree.root], hedge)
@@ -388,22 +385,20 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
 
 
 def nonsolidity_witness(tree: MarketTree) -> Optional[Witness]:
-    """First event whose EMM mass is non-constant; None iff market complete.
+    """First singleton whose EMM mass is non-constant; None iff market complete.
 
-    Scans singletons first, then larger events, in atom order; the two
-    extremal measures certify the split.
+    Scans singletons in atom order; the two extremal measures certify the
+    split.  Larger events need no scan: the EMM set lies in the simplex, so
+    once every singleton's mass is pinned it is a single point.
     """
     _require_viable(tree)
     emm = emm_set(tree)
     space = tree.space
-    n = space.size
-    for size in range(1, n):
-        for combo in combinations(range(n), size):
-            event = tuple(space.atoms[i] for i in combo)
-            indicator = RandomVariable.indicator(space, event)
-            low, high, m_low, m_high = emm.bounds(indicator)
-            if low != high:
-                return Witness(event, indicator, low, high, m_low, m_high)
+    for atom in space.atoms:
+        indicator = RandomVariable.indicator(space, [atom])
+        low, high, m_low, m_high = emm.bounds(indicator)
+        if low != high:
+            return Witness((atom,), indicator, low, high, m_low, m_high)
     return None
 
 

@@ -82,7 +82,10 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise ValidationError(f"not a rational literal: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # above the int-string digit limit
+            raise ValidationError(f"rational literal too long: {exc}") from None
     raise ValidationError(f"not a rational literal: {value!r}")
 
 

@@ -14,7 +14,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .bodies import AbsolutelyConvexBody, gauge, span_basis
-from .errors import PreconditionError, KBoundViolationError, SpaceMismatchError, ValidationError
+from .errors import (
+    CertificateError,
+    KBoundViolationError,
+    PreconditionError,
+    SpaceMismatchError,
+    ValidationError,
+)
 from .exactlp import LinearConstraint, LinearProgram, LPStatus, solve
 from .measure import RandomVariable, ky_fan_distance, pairing
 from .rational import INF, ExtendedValue, parse_rational
@@ -90,7 +96,8 @@ def _conjugate_lp(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedVal
     outcome = solve(lp)
     if outcome.status is LPStatus.INFEASIBLE:
         return INF
-    assert outcome.status is LPStatus.OPTIMAL
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise CertificateError("conjugate LP reported unbounded over the scenario simplex")
     return outcome.value
 
 
@@ -151,7 +158,7 @@ def extend(
         return INF
     if outcome.status is LPStatus.INFEASIBLE:
         if mode == "full":
-            raise AssertionError("full-mode extension LP cannot be infeasible")
+            raise CertificateError("full-mode extension LP reported infeasible")
         raise PreconditionError(
             "no nonnegative dual point matches any scenario mixture on span(K); "
             "the monotone extension is empty"

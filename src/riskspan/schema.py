@@ -24,7 +24,7 @@ def load_document(path: str) -> dict:
         text = handle.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer above the digit limit
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"top-level JSON object required in {path}")

@@ -135,6 +135,39 @@ def two_period_tree() -> MarketTree:
     )
 
 
+def random_tree(rnd: random.Random) -> MarketTree:
+    """A viable tree with at most 6 leaves: one or two periods, one or two assets.
+
+    Each node's price moves are centred under a random positive measure on its
+    children, so that measure extends to an equivalent martingale measure.
+    Moves may vanish or repeat, which gives complete, incomplete and
+    degenerate (no-trading) markets.
+    """
+    periods = rnd.choice((1, 1, 2))
+    assets = rnd.choice((1, 1, 2))
+    nodes = [_node("r", None, 0, [random_fraction(rnd, 1, 4) for _ in range(assets)])]
+    frontier = [nodes[0]]
+    for time in range(1, periods + 1):
+        next_frontier = []
+        for parent in frontier:
+            width = 2 if periods == 2 else rnd.randint(2, 6)
+            q = [Fraction(rnd.randint(1, 3)) for _ in range(width)]
+            total = sum(q)
+            moves = []
+            for _k in range(assets):
+                raw = [random_fraction(rnd, -2, 2) for _ in range(width)]
+                mean = sum(qi * r for qi, r in zip(q, raw)) / total
+                moves.append([r - mean for r in raw])
+            for c in range(width):
+                prices = [parent.prices[k] + moves[k][c] for k in range(assets)]
+                nodes.append(_node(f"{parent.node_id}{c}", parent.node_id, time, prices))
+                next_frontier.append(nodes[-1])
+        frontier = next_frontier
+    raw_weights = {leaf.node_id: rnd.randint(1, 4) for leaf in frontier}
+    total = sum(raw_weights.values())
+    return MarketTree(nodes, {nid: Fraction(w, total) for nid, w in raw_weights.items()})
+
+
 def nonviable_tree() -> MarketTree:
     """Terminal prices >= 1 with strict gain on one leaf: an arbitrage."""
     nodes = [

@@ -19,6 +19,7 @@ from riskspan import (
     gauge,
     member,
     polar_gauge,
+    record_outcomes,
     solid_check,
     solid_hull,
     solid_hull_member,
@@ -158,6 +159,17 @@ class TestSolidHullMember:
         sp = uniform(2)
         inside, witness = solid_hull_member(diag_body(sp), RandomVariable.of(sp, ["3/2", 0]))
         assert not inside and witness is None
+
+    def test_non_member_solves_one_lp_per_mirror_pair(self):
+        # K = -K: of the 2^4 sign patterns over a 4-atom support, only the
+        # 8 with a + on the first atom are tried.
+        sp = uniform(4)
+        K = AbsolutelyConvexBody.of(sp, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            inside, witness = solid_hull_member(K, RandomVariable.of(sp, [1, -1, 1, 1]))
+        assert not inside and witness is None
+        assert len(outcomes) == 8
 
     def test_witness_contract_on_random_instances(self):
         rnd = random.Random(53)

@@ -4,7 +4,9 @@ import json
 import os
 from fractions import Fraction
 
+import riskspan.exactlp
 from riskspan import (
+    CertificateError,
     Measure,
     RandomVariable,
     emm_set,
@@ -15,7 +17,8 @@ from riskspan import (
 from riskspan.cli import main
 from riskspan.schema import load_document, market_from_json, parse_point
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+TESTS = os.path.dirname(__file__)
+FIXTURES = os.path.join(TESTS, "fixtures")
 
 
 def fx(name: str) -> str:
@@ -242,6 +245,32 @@ class TestErrors:
         )
         assert code == 3
 
+    def test_oversized_point_literal_exit_2(self, capsys):
+        # 5000 digits is above the interpreter's int-string conversion limit.
+        huge = "1" + "0" * 5000
+        code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", f"{huge},1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_oversized_json_integer_exit_2(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text(
+            '{"space": {"atoms": ["a", "b"], "weights": ["1/2", "1/2"]}, '
+            '"generators": [[1' + "0" * 5000 + ", 0], [0, 1]]}"
+        )
+        code = main(["set-gauge", "--input", str(doc), "--point", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_certificate_failure_exit_5(self, monkeypatch, capsys):
+        def reject(lp, outcome):
+            raise CertificateError("forced rejection")
+
+        monkeypatch.setattr(riskspan.exactlp, "verify_outcome", reject)
+        code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", "1,1"])
+        assert code == 5
+        assert capsys.readouterr().err == "certificate failure: forced rejection\n"
+
 
 class TestDeterminism:
     def test_reports_identical_in_process(self, capsys):
@@ -256,6 +285,18 @@ class TestDeterminism:
             assert first == second
             assert first[0] == 0
             json.loads(first[1])  # report stays parseable
+
+    def test_reports_match_stored_golden_reports(self, monkeypatch, capsys):
+        # Each report is stored byte for byte under fixtures/expected/; the
+        # "input" field is the relative path, so run from the tests directory.
+        from support import CLI_FIXTURE_COMMANDS
+
+        monkeypatch.chdir(TESTS)
+        for command, fixture, extra in CLI_FIXTURE_COMMANDS:
+            code, out = run_cli(capsys, command, "--input", f"fixtures/{fixture}", *extra)
+            assert code == 0
+            with open(os.path.join(FIXTURES, "expected", f"{command}.json"), "rb") as handle:
+                assert out.encode("utf-8") == handle.read(), command
 
     def test_human_format(self, capsys):
         code, out = run_cli(

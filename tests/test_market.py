@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from riskspan import (
     emm_set,
     member,
     nonsolidity_witness,
+    record_outcomes,
     replicates,
     solid_check,
     solid_hull_member,
@@ -30,6 +32,8 @@ from support import (
     no_trading_tree,
     nonviable_tree,
     random_fraction,
+    random_rv,
+    random_tree,
     single_node_tree,
     trinomial_tree,
     two_period_tree,
@@ -180,6 +184,28 @@ class TestAttainable:
         assert replicates(tree, initial, hedge, xi)
         assert all(h == (Fraction(1),) for h in hedge.values())
 
+    def test_solves_only_the_viability_lp(self):
+        tree = binomial_tree()
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            ok, _detail = attainable(tree, RandomVariable.of(tree.space, [2, "1/2"]))
+        assert ok
+        assert len(outcomes) == 1
+
+    def test_agrees_with_matching_expectation_bounds(self):
+        # A claim is attainable iff its price is the same under every
+        # martingale measure; the bounds LPs serve only as the oracle here.
+        rnd = random.Random(11)
+        for _ in range(30):
+            tree = random_tree(rnd)
+            xi = random_rv(rnd, tree.space)
+            low, high, _m1, _m2 = emm_set(tree).bounds(xi)
+            ok, detail = attainable(tree, xi)
+            assert ok == (low == high)
+            if ok:
+                assert detail[0] == low
+                assert replicates(tree, detail[0], detail[1], xi)
+
     def test_random_span_claims_replicate_exactly(self):
         rnd = random.Random(13)
         for tree in (binomial_tree(), two_period_tree()):
@@ -251,6 +277,33 @@ class TestNonsolidityWitness:
         inside, _g = solid_hull_member(ball, w.indicator)
         assert inside
         assert not member(ball, w.indicator)
+
+    def test_complete_tree_costs_viability_plus_two_lps_per_singleton(self):
+        tree = two_period_tree()
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            assert nonsolidity_witness(tree) is None
+        assert len(outcomes) == 1 + 2 * 4
+
+    def test_singleton_scan_against_all_events(self):
+        # Brute-force oracle: no event of any size splits exactly when the
+        # singleton scan finds no witness.
+        rnd = random.Random(7)
+        for _ in range(20):
+            tree = random_tree(rnd)
+            emm = emm_set(tree)
+            atoms = tree.space.atoms
+
+            def splits(event):
+                low, high, _m1, _m2 = emm.bounds(RandomVariable.indicator(tree.space, event))
+                return low != high
+
+            any_split = any(
+                splits(event)
+                for size in range(1, len(atoms))
+                for event in combinations(atoms, size)
+            )
+            assert (nonsolidity_witness(tree) is None) == (not any_split)
 
     def test_completeness_trichotomy(self):
         for tree, complete in (
