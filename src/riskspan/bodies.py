@@ -76,7 +76,7 @@ class Subspace:
         return linalg.in_span([list(b.values) for b in self.basis], list(x.values))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def span_basis(body: AbsolutelyConvexBody) -> Subspace:
     """The span of K, reduced to a maximal independent subset of generators."""
     rows = [list(g.values) for g in body.generators]

@@ -125,12 +125,19 @@ def _run_market_command(args, doc) -> dict:
         emm = market.emm_set(tree)
         slack, sample = market.viability_certificate(tree)
         viable = slack > 0
-        vertices = emm.vertices() if tree.space.size <= VERTEX_DIMENSION_CAP else None
+        if tree.space.size <= VERTEX_DIMENSION_CAP:
+            vertices = emm.vertices()
+            if not vertices:
+                raise PreconditionError("empty martingale measure set")
+            singleton = len(vertices) == 1
+        else:
+            vertices = None
+            singleton = emm.is_singleton()
         return {
             "atoms": list(tree.space.atoms),
             "viable": viable,
             "sample_measure": schema.measure_to_json(sample) if sample is not None else None,
-            "is_singleton": emm.is_singleton(),
+            "is_singleton": singleton,
             "vertices": schema.vertices_to_json(vertices),
         }
     if args.command == "market-complete":
@@ -169,6 +176,8 @@ def _run_market_command(args, doc) -> dict:
 
 
 def run(args) -> dict:
+    if args.max_atoms < 0:
+        raise ValidationError(f"--max-atoms must be nonnegative, got {args.max_atoms}")
     doc = schema.load_document(args.input)
     if args.command.startswith("set-"):
         result = _run_set_command(args, doc)

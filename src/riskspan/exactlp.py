@@ -1,11 +1,14 @@
 """Exact rational linear programming with status certificates.
 
 Two-phase primal simplex over Fractions with Bland's anti-cycling rule.
-Variable bounds are lifted into explicit rows internally, so optimality and
-infeasibility certificates decompose into one multiplier per constraint plus
-per-variable bound multipliers / reduced costs, all of which re-validate
-against the original data by exact arithmetic.  ``solve`` self-checks every
-certificate before returning.
+A variable with a finite lower bound l is one native nonnegative column for
+x - l (the row right-hand sides shift by A.l); only free variables carry a
+negative-part column, and only constraint rows and finite upper bounds become
+tableau rows.  Certificates decompose into one multiplier per constraint plus
+per-variable bound multipliers / reduced costs (lower-bound multipliers of an
+infeasible program are the phase-one reduced costs of the native columns),
+all of which re-validate against the original data by exact arithmetic.
+``solve`` self-checks every certificate before returning.
 
 Statuses:
   * OPTIMAL    -- primal point, value, dual multipliers, reduced costs;
@@ -220,8 +223,15 @@ def _bland_simplex(
 
 @dataclass
 class _Normalized:
+    """Standard form: x_j = shift_j + column j, minus column neg[j] if free.
+
+    Rows are the user constraints, then one row per finite upper bound.
+    """
+
     n: int
-    rows: list[tuple[list[Fraction], str, Fraction, tuple]]  # (coeffs, rel, rhs, tag)
+    shift: list[Fraction]  # lower bound, or 0 for a free variable
+    neg: dict[int, int]  # free variable -> its negative-part column
+    tags: list[tuple[str, int]]  # per row: ("user", i) or ("upper", j)
     matrix: list[list[Fraction]]  # sign-flipped standard-form matrix
     rhs: list[Fraction]  # nonnegative right-hand side
     rho: list[int]  # row sign flips
@@ -231,32 +241,36 @@ class _Normalized:
 
 def _normalize(lp: LinearProgram) -> _Normalized:
     n = len(lp.objective)
-    rows: list[tuple[list[Fraction], str, Fraction, tuple]] = []
-    for i, con in enumerate(lp.constraints):
-        rows.append((list(con.coefficients), con.relation, con.rhs, ("user", i)))
+    shift = [_F0 if lo is None else lo for lo in lp.lower]
+    neg: dict[int, int] = {}
     for j in range(n):
-        if lp.lower[j] is not None:
+        if lp.lower[j] is None:
+            neg[j] = n + len(neg)
+    rows: list[tuple[Sequence[Fraction], str, Fraction, tuple[str, int]]] = [
+        (con.coefficients, con.relation, con.rhs, ("user", i))
+        for i, con in enumerate(lp.constraints)
+    ]
+    for j, up in enumerate(lp.upper):
+        if up is not None:
             unit = [_F0] * n
             unit[j] = _F1
-            rows.append((unit, ">=", lp.lower[j], ("lower", j)))
-        if lp.upper[j] is not None:
-            unit = [_F0] * n
-            unit[j] = _F1
-            rows.append((unit, "<=", lp.upper[j], ("upper", j)))
+            rows.append((unit, "<=", up, ("upper", j)))
     m = len(rows)
-    n_slack = sum(1 for row in rows if row[1] != "=")
-    art0 = 2 * n + n_slack
+    slack_col = n + len(neg)
+    art0 = slack_col + sum(1 for row in rows if row[1] != "=")
     ncols = art0 + m
     matrix = [[_F0] * ncols for _ in range(m)]
     rhs: list[Fraction] = []
     rho = [1] * m
-    slack_col = 2 * n
     for k, (coeffs, rel, b, _tag) in enumerate(rows):
         row = matrix[k]
         for j, c in enumerate(coeffs):
             if c:
                 row[j] = c
-                row[n + j] = -c
+                if shift[j]:
+                    b -= c * shift[j]
+                if j in neg:
+                    row[neg[j]] = -c
         if rel == "<=":
             row[slack_col] = _F1
             slack_col += 1
@@ -271,33 +285,27 @@ def _normalize(lp: LinearProgram) -> _Normalized:
                     row[j] = -row[j]
         row[art0 + k] = _F1
         rhs.append(b)
-    return _Normalized(n, rows, matrix, rhs, rho, art0, ncols)
+    return _Normalized(n, shift, neg, [row[3] for row in rows], matrix, rhs, rho, art0, ncols)
 
 
 def _split_duals(
     norm: _Normalized, lp: LinearProgram, eta: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Split per-row multipliers into user-row, lower-bound, upper-bound parts."""
-    n = norm.n
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Split per-row multipliers into user-row and upper-bound parts."""
     user = [_F0] * len(lp.constraints)
-    lower = [_F0] * n
-    upper = [_F0] * n
-    for k, (_c, _rel, _b, tag) in enumerate(norm.rows):
-        kind, idx = tag
+    upper = [_F0] * norm.n
+    for (kind, idx), y in zip(norm.tags, eta):
         if kind == "user":
-            user[idx] = eta[k]
-        elif kind == "lower":
-            lower[idx] = eta[k]
+            user[idx] = y
         else:
-            upper[idx] = eta[k]
-    return user, lower, upper
+            upper[idx] = y
+    return user, upper
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Exact two-phase simplex; the returned certificate is self-verified."""
     norm = _normalize(lp)
-    m = len(norm.rows)
-    outcome = _solve_normalized(lp, norm) if m else _solve_unconstrained(lp)
+    outcome = _solve_normalized(lp, norm) if norm.tags else _solve_unconstrained(lp)
     verify_outcome(lp, outcome)
     for sink in _RECORDERS:
         sink.append((lp, outcome))
@@ -305,21 +313,25 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
 
 def _solve_unconstrained(lp: LinearProgram) -> LPOutcome:
-    n = len(lp.objective)
-    if any(c != 0 for c in lp.objective):
-        ray = tuple(-c for c in lp.objective)
-        return LPOutcome(LPStatus.UNBOUNDED, point=tuple([_F0] * n), ray=ray)
+    """No rows and no upper bounds: every variable rests at its lower bound
+    (0 when free) unless its cost pulls it away, which is a ray."""
+    point = tuple(_F0 if lo is None else lo for lo in lp.lower)
+    ray = tuple(
+        -c if c < 0 or lo is None else _F0 for c, lo in zip(lp.objective, lp.lower)
+    )
+    if any(ray):
+        return LPOutcome(LPStatus.UNBOUNDED, point=point, ray=ray)
     return LPOutcome(
         LPStatus.OPTIMAL,
-        value=_F0,
-        point=tuple([_F0] * n),
+        value=sum((c * x for c, x in zip(lp.objective, point)), _F0),
+        point=point,
         dual=(),
         reduced_costs=tuple(lp.objective),
     )
 
 
 def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
-    m = len(norm.rows)
+    m = len(norm.tags)
     n = norm.n
     tableau = [norm.matrix[k][:] + [norm.rhs[k]] for k in range(m)]
     basis = [norm.art0 + k for k in range(m)]
@@ -335,8 +347,11 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     if phase1_value > 0:
         # Reduced cost under artificial column k is 1 - y_k for the flipped
         # system, so the Farkas multipliers fall out of the final cost row.
+        # A native column's phase-one reduced cost is -y.A_j >= 0, exactly
+        # the lower-bound multiplier that closes the combination to zero.
         eta = [norm.rho[k] * (_F1 - red[norm.art0 + k]) for k in range(m)]
-        user, lower, upper = _split_duals(norm, lp, eta)
+        user, upper = _split_duals(norm, lp, eta)
+        lower = [_F0 if j in norm.neg else red[j] for j in range(n)]
         return LPOutcome(
             LPStatus.INFEASIBLE,
             farkas=tuple(user),
@@ -347,7 +362,8 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     cost2 = [_F0] * norm.ncols
     for j in range(n):
         cost2[j] = lp.objective[j]
-        cost2[n + j] = -lp.objective[j]
+    for j, col in norm.neg.items():
+        cost2[col] = -lp.objective[j]
 
     state, enter, red = _bland_simplex(
         tableau, basis, cost2, norm.art0, evict_from=norm.art0
@@ -361,14 +377,17 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
         for i, row in enumerate(tableau):
             if row[enter]:
                 direction[basis[i]] = -row[enter]
-        ray = tuple(direction[j] - direction[n + j] for j in range(n))
+        ray = tuple(
+            direction[j] - direction[norm.neg[j]] if j in norm.neg else direction[j]
+            for j in range(n)
+        )
         return LPOutcome(LPStatus.UNBOUNDED, point=point, ray=ray)
 
     value = sum((lp.objective[j] * point[j] for j in range(n)), _F0)
     # Artificial columns carry zero phase-two cost, so their reduced costs
     # are exactly -y for the flipped system.
     eta = [norm.rho[k] * (-red[norm.art0 + k]) for k in range(m)]
-    user, lower, upper = _split_duals(norm, lp, eta)
+    user, _upper = _split_duals(norm, lp, eta)
     reduced = _reduced_costs(lp, user)
     return LPOutcome(
         LPStatus.OPTIMAL,
@@ -385,7 +404,10 @@ def _point_from_basis(
     assignment = [_F0] * norm.ncols
     for k, b in enumerate(basis):
         assignment[b] = tableau[k][-1]
-    return tuple(assignment[j] - assignment[norm.n + j] for j in range(norm.n))
+    return tuple(
+        norm.shift[j] + assignment[j] - (assignment[norm.neg[j]] if j in norm.neg else _F0)
+        for j in range(norm.n)
+    )
 
 
 def _reduced_costs(lp: LinearProgram, user_dual: Sequence[Fraction]) -> list[Fraction]:
@@ -542,13 +564,16 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
 
 
 def vertex_enumeration(
-    constraints: Sequence[LinearConstraint], dimension: int
+    constraints: Sequence[LinearConstraint], dimension: int, *, bounded: bool = False
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded H-polytope by basis enumeration.
 
     Brute force over d-subsets of rows with exact rank checks; intended for
     d <= 8 (the documented scalability boundary).  Raises PreconditionError
     when the region is unbounded; an infeasible region has no vertices.
+    A caller whose region is bounded by construction passes ``bounded=True``
+    to skip the 2*d boundedness probes: a bounded region is empty exactly
+    when no basis yields a feasible point, so no LP is needed.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
@@ -560,15 +585,16 @@ def vertex_enumeration(
         if len(con.coefficients) != dimension:
             raise ValidationError("constraint row length differs from dimension")
 
-    for j in range(dimension):
-        for sign in (1, -1):
-            objective = [_F0] * dimension
-            objective[j] = Fraction(sign)
-            probe = solve(LinearProgram.minimize(objective, tuple(constraints)))
-            if probe.status is LPStatus.UNBOUNDED:
-                raise PreconditionError("unbounded input region")
-            if probe.status is LPStatus.INFEASIBLE:
-                return []
+    if not bounded:
+        for j in range(dimension):
+            for sign in (1, -1):
+                objective = [_F0] * dimension
+                objective[j] = Fraction(sign)
+                probe = solve(LinearProgram.minimize(objective, tuple(constraints)))
+                if probe.status is LPStatus.UNBOUNDED:
+                    raise PreconditionError("unbounded input region")
+                if probe.status is LPStatus.INFEASIBLE:
+                    return []
 
     vertices: set[tuple[Fraction, ...]] = set()
     rows = [list(con.coefficients) for con in constraints]

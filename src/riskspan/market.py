@@ -182,13 +182,18 @@ class MartingaleMeasureSet:
         return True
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
+        """The extreme measures of the closure, sorted; empty iff it is empty.
+
+        The closure lies in the simplex, so it is bounded by construction and
+        its vertices need no boundedness or emptiness LP.
+        """
         n = self.space.size
         rows = self.lp_constraints()
         for i in range(n):
             unit = [_F0] * n
             unit[i] = _F1
             rows.append(LinearConstraint(tuple(unit), ">=", _F0))
-        return vertex_enumeration(rows, n)
+        return vertex_enumeration(rows, n, bounded=True)
 
     def affine_dimension(self) -> int:
         points = self.vertices()
@@ -350,7 +355,9 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
 
     Intersects span(strategy gains + constant) with the unit box in span
     coordinates and converts to generators by vertex enumeration; raises
-    when the span dimension exceeds the enumeration cap.
+    when the span dimension exceeds the enumeration cap.  The box pulls back
+    through an independent basis, so the region is bounded and nonempty (it
+    holds 0) and its vertices need no LP.
     """
     _require_viable(tree)
     basis_rows = [list(e.values) for e in strategy_basis(tree).elements]
@@ -369,7 +376,7 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
         rows.append(LinearConstraint(tuple(-c for c in coeffs), "<=", _F1))
     generators: list[RandomVariable] = []
     seen: set[tuple[Fraction, ...]] = set()
-    for vertex in vertex_enumeration(rows, dim):
+    for vertex in vertex_enumeration(rows, dim, bounded=True):
         values = tuple(
             sum((vertex[b] * basis[b][i] for b in range(dim)), _F0) for i in range(n)
         )

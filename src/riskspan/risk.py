@@ -82,7 +82,7 @@ def conjugate(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
     return _conjugate_lp(phi, g)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def _conjugate_lp(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
     basis = span_basis(phi.body)
     m = len(phi.scenarios)

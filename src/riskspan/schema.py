@@ -35,7 +35,8 @@ def _field(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise ValidationError(f"missing field {key!r} in {where}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true/false load as bool, which subclasses int; no field is a flag
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValidationError(f"field {key!r} in {where} must be {kind.__name__}")
     return value
 

@@ -11,6 +11,7 @@ from riskspan import (
     RandomVariable,
     emm_set,
     member,
+    record_outcomes,
     replicates,
     solid_hull_member,
 )
@@ -137,6 +138,26 @@ class TestMarketCommands:
         assert result["vertices"] == [["1/3", "2/3"]]
         assert result["atoms"] == ["u", "w"]
 
+    def test_emm_solves_only_the_viability_lp(self, capsys):
+        # is_singleton is read off the vertex list, which needs no LP.
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            report = run_json(capsys, "market-emm", "--input", fx("market_trinomial.json"))
+        assert report["result"]["is_singleton"] is False
+        assert len(outcomes) == 1
+
+    def test_emm_of_an_empty_set_exit_3(self, tmp_path, capsys):
+        doc = tmp_path / "drift.json"
+        doc.write_text(
+            '{"nodes": [{"id": "root", "parent": null, "time": 0, "prices": [1]}, '
+            '{"id": "u", "parent": "root", "time": 1, "prices": [2]}, '
+            '{"id": "w", "parent": "root", "time": 1, "prices": [3]}], '
+            '"leaf_weights": {"u": "1/2", "w": "1/2"}}'
+        )
+        code = main(["market-emm", "--input", str(doc)])
+        assert code == 3
+        assert capsys.readouterr().err == "precondition failure: empty martingale measure set\n"
+
     def test_complete(self, capsys):
         assert run_json(capsys, "market-complete", "--input", fx("market_binomial.json"))[
             "result"
@@ -244,6 +265,26 @@ class TestErrors:
             "1",
         )
         assert code == 3
+
+    def test_negative_max_atoms_exit_2(self, capsys):
+        code = main(
+            ["set-gauge", "--input", fx("body_cross.json"), "--point", "0,0", "--max-atoms", "-1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_boolean_node_time_exit_2(self, tmp_path, capsys):
+        for flag in ("false", "true"):
+            doc = tmp_path / f"time_{flag}.json"
+            doc.write_text(
+                '{"nodes": [{"id": "root", "parent": null, "time": ' + flag + ', "prices": [1]}, '
+                '{"id": "u", "parent": "root", "time": 1, "prices": [2]}, '
+                '{"id": "w", "parent": "root", "time": 1, "prices": ["1/2"]}], '
+                '"leaf_weights": {"u": "1/2", "w": "1/2"}}'
+            )
+            code = main(["market-complete", "--input", str(doc)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("validation error:")
 
     def test_oversized_point_literal_exit_2(self, capsys):
         # 5000 digits is above the interpreter's int-string conversion limit.

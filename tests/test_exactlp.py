@@ -17,7 +17,7 @@ from riskspan import (
     verify_outcome,
     vertex_enumeration,
 )
-from riskspan.exactlp import verify_infeasible, verify_optimal
+from riskspan.exactlp import _normalize, verify_infeasible, verify_optimal
 
 
 def test_box_minimum():
@@ -38,6 +38,46 @@ def test_unbounded_halfline():
     out = solve(LinearProgram.minimize([-1], (), lower=[0]))
     assert out.status is LPStatus.UNBOUNDED
     assert out.ray == (Fraction(1),)
+
+
+def test_bound_only_optimum_rests_on_the_bounds():
+    out = solve(LinearProgram.minimize([2, 0, 1], (), lower=[-3, None, 5]))
+    assert out.status is LPStatus.OPTIMAL
+    assert out.point == (Fraction(-3), Fraction(0), Fraction(5))
+    assert out.value == -1
+    assert out.dual == ()
+    assert out.reduced_costs == (Fraction(2), Fraction(0), Fraction(1))
+
+
+def test_bound_only_rays():
+    # Negative cost on a bounded variable, nonzero cost on a free one.
+    out = solve(LinearProgram.minimize([1, -2, 0], (), lower=[0, 1, None]))
+    assert out.status is LPStatus.UNBOUNDED
+    assert out.point == (Fraction(0), Fraction(1), Fraction(0))
+    assert out.ray == (Fraction(0), Fraction(2), Fraction(0))
+    out = solve(LinearProgram.minimize([0, 3], (), lower=[0, None]))
+    assert out.status is LPStatus.UNBOUNDED
+    assert out.ray == (Fraction(0), Fraction(-3))
+
+
+def test_crossed_bounds_are_infeasible():
+    out = solve(LinearProgram.minimize([1], (), lower=[2], upper=[1]))
+    assert out.status is LPStatus.INFEASIBLE
+    assert out.farkas == ()
+    assert (out.farkas_lower, out.farkas_upper) == ((Fraction(1),), (Fraction(-1),))
+
+
+def test_lower_bounds_are_native_columns():
+    # A 4-atom gauge over 4 generators: 8 variables >= 0 and 4 equality rows
+    # give 4 rows and 8 native plus 4 artificial columns; no bound rows, no
+    # negative parts.
+    rows = tuple(
+        LinearConstraint.of([1 if j % 4 == i else 0 for j in range(8)], "=", 1)
+        for i in range(4)
+    )
+    norm = _normalize(LinearProgram.minimize([1] * 8, rows, lower=[0] * 8))
+    assert (len(norm.tags), norm.ncols) == (4, 12)
+    assert norm.neg == {}
 
 
 def test_dimension_mismatch_rejected():
@@ -226,3 +266,63 @@ class TestVertexEnumeration:
             assert out.status is LPStatus.OPTIMAL
             best = min(sum(c * v for c, v in zip(objective, p)) for p in points)
             assert out.value == best
+
+
+def _random_bounded_lp(rnd: random.Random) -> tuple[LinearProgram, list[LinearConstraint]]:
+    """A random LP whose feasible region is bounded, and that region as rows.
+
+    Each variable is boxed by bounds (lower bounds mostly nonzero), or has a
+    lower or an upper bound closed off by a row, or is free and boxed by rows.
+    """
+    n = rnd.randint(1, 4)
+    rows: list[LinearConstraint] = []
+    lower: list = []
+    upper: list = []
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        a = Fraction(rnd.randint(-3, 3), rnd.choice((1, 2)))
+        b = a + rnd.randint(0, 4)
+        kind = rnd.choice(("box", "lower", "upper", "free"))
+        lower.append(a if kind in ("box", "lower") else None)
+        upper.append(b if kind in ("box", "upper") else None)
+        if kind in ("upper", "free"):
+            rows.append(LinearConstraint.of(unit, ">=", a))
+        if kind in ("lower", "free"):
+            rows.append(LinearConstraint.of(unit, "<=", b))
+    for _ in range(rnd.randint(0, 3)):
+        coeffs = [Fraction(rnd.randint(-3, 3), rnd.choice((1, 2))) for _ in range(n)]
+        rel = rnd.choice(("<=", ">=", "="))
+        rows.append(LinearConstraint.of(coeffs, rel, Fraction(rnd.randint(-4, 4), 2)))
+    objective = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
+    region = list(rows)
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        if lower[j] is not None:
+            region.append(LinearConstraint.of(unit, ">=", lower[j]))
+        if upper[j] is not None:
+            region.append(LinearConstraint.of(unit, "<=", upper[j]))
+    return LinearProgram.minimize(objective, tuple(rows), lower=lower, upper=upper), region
+
+
+def test_bounded_optimum_matches_the_best_vertex():
+    # Differential oracle: a bounded region is empty iff it has no vertex, and
+    # otherwise the optimum is the least objective value over its vertices.
+    rnd = random.Random(5)
+    seen = set()
+    for _ in range(150):
+        lp, region = _random_bounded_lp(rnd)
+        out = solve(lp)
+        points = vertex_enumeration(region, len(lp.objective))
+        # Skipping the boundedness probes changes nothing on a bounded region.
+        assert vertex_enumeration(region, len(lp.objective), bounded=True) == points
+        seen.add(out.status)
+        if not points:
+            assert out.status is LPStatus.INFEASIBLE
+            continue
+        assert out.status is LPStatus.OPTIMAL
+        assert out.value == min(
+            sum((c * v for c, v in zip(lp.objective, p)), Fraction(0)) for p in points
+        )
+    assert seen == {LPStatus.OPTIMAL, LPStatus.INFEASIBLE}

@@ -111,6 +111,14 @@ class TestEmmSet:
             (Fraction(0), Fraction(1)),
         }
 
+    def test_vertices_solve_no_lp(self):
+        # The closure lies in the simplex, so no boundedness probe is needed.
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            vertices = emm_set(two_period_tree()).vertices()
+        assert len(vertices) == 1
+        assert outcomes == []
+
     def test_contains_checks_rows_exactly(self):
         tree = binomial_tree()
         emm = emm_set(tree)
@@ -245,6 +253,13 @@ class TestAttainableBall:
         for g in ball.generators:
             assert max(abs(v) for v in g.values) <= 1
             assert attainable(trinomial_tree(), g)[0]
+
+    def test_ball_solves_only_the_viability_lp(self):
+        # The box in span coordinates is bounded and holds 0 by construction.
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            attainable_ball(two_period_tree())
+        assert len(outcomes) == 1
 
     def test_no_trading_ball_is_the_constant_segment(self):
         ball = attainable_ball(no_trading_tree())
