@@ -305,29 +305,11 @@ def _split_duals(
 def solve(lp: LinearProgram) -> LPOutcome:
     """Exact two-phase simplex; the returned certificate is self-verified."""
     norm = _normalize(lp)
-    outcome = _solve_normalized(lp, norm) if norm.tags else _solve_unconstrained(lp)
+    outcome = _solve_normalized(lp, norm)
     verify_outcome(lp, outcome)
     for sink in _RECORDERS:
         sink.append((lp, outcome))
     return outcome
-
-
-def _solve_unconstrained(lp: LinearProgram) -> LPOutcome:
-    """No rows and no upper bounds: every variable rests at its lower bound
-    (0 when free) unless its cost pulls it away, which is a ray."""
-    point = tuple(_F0 if lo is None else lo for lo in lp.lower)
-    ray = tuple(
-        -c if c < 0 or lo is None else _F0 for c, lo in zip(lp.objective, lp.lower)
-    )
-    if any(ray):
-        return LPOutcome(LPStatus.UNBOUNDED, point=point, ray=ray)
-    return LPOutcome(
-        LPStatus.OPTIMAL,
-        value=sum((c * x for c, x in zip(lp.objective, point)), _F0),
-        point=point,
-        dual=(),
-        reduced_costs=tuple(lp.objective),
-    )
 
 
 def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
@@ -564,16 +546,13 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
 
 
 def vertex_enumeration(
-    constraints: Sequence[LinearConstraint], dimension: int, *, bounded: bool = False
+    constraints: Sequence[LinearConstraint], dimension: int, *, _bounded: bool = False
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded H-polytope by basis enumeration.
 
     Brute force over d-subsets of rows with exact rank checks; intended for
     d <= 8 (the documented scalability boundary).  Raises PreconditionError
     when the region is unbounded; an infeasible region has no vertices.
-    A caller whose region is bounded by construction passes ``bounded=True``
-    to skip the 2*d boundedness probes: a bounded region is empty exactly
-    when no basis yields a feasible point, so no LP is needed.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
@@ -585,7 +564,10 @@ def vertex_enumeration(
         if len(con.coefficients) != dimension:
             raise ValidationError("constraint row length differs from dimension")
 
-    if not bounded:
+    # ``_bounded`` is for in-package callers whose region is bounded by
+    # construction; it skips the 2*d probes, since a bounded region is empty
+    # exactly when no basis yields a feasible point.
+    if not _bounded:
         for j in range(dimension):
             for sign in (1, -1):
                 objective = [_F0] * dimension

@@ -193,7 +193,7 @@ class MartingaleMeasureSet:
             unit = [_F0] * n
             unit[i] = _F1
             rows.append(LinearConstraint(tuple(unit), ">=", _F0))
-        return vertex_enumeration(rows, n, bounded=True)
+        return vertex_enumeration(rows, n, _bounded=True)
 
     def affine_dimension(self) -> int:
         points = self.vertices()
@@ -376,7 +376,7 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
         rows.append(LinearConstraint(tuple(-c for c in coeffs), "<=", _F1))
     generators: list[RandomVariable] = []
     seen: set[tuple[Fraction, ...]] = set()
-    for vertex in vertex_enumeration(rows, dim, bounded=True):
+    for vertex in vertex_enumeration(rows, dim, _bounded=True):
         values = tuple(
             sum((vertex[b] * basis[b][i] for b in range(dim)), _F0) for i in range(n)
         )

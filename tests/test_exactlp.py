@@ -54,10 +54,10 @@ def test_bound_only_rays():
     out = solve(LinearProgram.minimize([1, -2, 0], (), lower=[0, 1, None]))
     assert out.status is LPStatus.UNBOUNDED
     assert out.point == (Fraction(0), Fraction(1), Fraction(0))
-    assert out.ray == (Fraction(0), Fraction(2), Fraction(0))
+    assert out.ray == (Fraction(0), Fraction(1), Fraction(0))
     out = solve(LinearProgram.minimize([0, 3], (), lower=[0, None]))
     assert out.status is LPStatus.UNBOUNDED
-    assert out.ray == (Fraction(0), Fraction(-3))
+    assert out.ray == (Fraction(0), Fraction(-1))
 
 
 def test_crossed_bounds_are_infeasible():
@@ -316,7 +316,7 @@ def test_bounded_optimum_matches_the_best_vertex():
         out = solve(lp)
         points = vertex_enumeration(region, len(lp.objective))
         # Skipping the boundedness probes changes nothing on a bounded region.
-        assert vertex_enumeration(region, len(lp.objective), bounded=True) == points
+        assert vertex_enumeration(region, len(lp.objective), _bounded=True) == points
         seen.add(out.status)
         if not points:
             assert out.status is LPStatus.INFEASIBLE
