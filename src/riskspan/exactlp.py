@@ -1,6 +1,13 @@
 """Exact rational linear programming with status certificates.
 
-Two-phase primal simplex over Fractions with Bland's anti-cycling rule.
+Two-phase primal simplex with Bland's anti-cycling rule on an exact
+fraction-free tableau: each row, the reduced-cost row included, is a list of
+Python ints over one positive denominator, kept in lowest terms.  A pivot
+updates rows in place with the integer elimination step of ``linalg`` and
+the ratio test compares by cross-multiplication, so Bland's rule sees the
+same exact values a Fraction tableau would.  The point, value, duals, Farkas
+multipliers and ray are read out as Fractions.
+
 A variable with a finite lower bound l is one native nonnegative column for
 x - l (the row right-hand sides shift by A.l); only free variables carry a
 negative-part column, and only constraint rows and finite upper bounds become
@@ -21,10 +28,12 @@ Statuses:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -106,115 +115,109 @@ class LPOutcome:
     ray: Optional[tuple[Fraction, ...]] = None
 
 
-_RECORDERS: list[list] = []
+_SINKS: ContextVar[tuple] = ContextVar("riskspan_lp_sinks", default=())
 
 
 @contextmanager
 def record_outcomes(sink: list) -> Iterator[list]:
-    """Collect every (lp, outcome) pair solved while the context is active."""
-    _RECORDERS.append(sink)
+    """Collect every (lp, outcome) pair solved while the context is active.
+
+    The active sinks live in a context variable, so a thread (or task) only
+    records the programs it solves itself.
+    """
+    token = _SINKS.set(_SINKS.get() + (sink,))
     try:
         yield sink
     finally:
-        _RECORDERS.remove(sink)
+        _SINKS.reset(token)
 
 
 # ---------------------------------------------------------------------------
 # simplex core
+#
+# A tableau row is a list of ints read over one positive denominator
+# (``dens[i]``), in lowest terms; the reduced-cost row is stored the same
+# way.  A basic column's entry in its row equals the row's denominator.
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    prow = tableau[row]
-    if piv != 1:
-        inv = _F1 / piv
-        for j in range(len(prow)):
-            if prow[j]:
-                prow[j] *= inv
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            factor = other[col]
-            for j in range(len(prow)):
-                if prow[j]:
-                    other[j] -= factor * prow[j]
-    basis[row] = col
-
-
-def _reduced_cost_row(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> list[Fraction]:
-    width = len(tableau[0]) if tableau else 0
-    row = cost[:] + [_F0] * (width - len(cost))
-    for k, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            trow = tableau[k]
-            for j in range(width):
-                if trow[j]:
-                    row[j] -= cb * trow[j]
-    return row
-
-
-def _bland_simplex(
-    tableau: list[list[Fraction]],
+def _pivot(
+    rows: list[list[int]],
+    dens: list[int],
     basis: list[int],
-    cost: list[Fraction],
+    red: list[int],
+    rden: int,
+    r: int,
+    c: int,
+) -> int:
+    """Pivot on (r, c) in place; returns the new reduced-cost denominator."""
+    prow = rows[r]
+    if prow[c] < 0:
+        prow[:] = [-v for v in prow]
+    g = gcd(*prow)
+    if g > 1:
+        prow[:] = [v // g for v in prow]
+    dens[r] = prow[c]
+    nz = [j for j, v in enumerate(prow) if v]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            dens[i] = linalg._eliminate(row, prow, c, nz, dens[i])
+    if red[c]:
+        rden = linalg._eliminate(red, prow, c, nz, rden)
+    basis[r] = c
+    return rden
+
+
+def _simplex(
+    rows: list[list[int]],
+    dens: list[int],
+    basis: list[int],
+    red: list[int],
+    rden: int,
     enterable: int,
     evict_from: Optional[int] = None,
-) -> tuple[str, Optional[int], list[Fraction]]:
+) -> tuple[Optional[int], int]:
     """Run Bland pivots to optimality or an unbounded column.
 
+    ``red / rden`` enters as the cost row (right-hand side entry 0 last) and
+    is reduced against the basis here, then kept up to date in place.
     ``enterable`` caps the column indices that may enter the basis (used to
     freeze artificial columns out in phase two).  With ``evict_from`` set,
     any basic variable at or beyond that column index is forced to leave at
     a ratio-zero pivot before it could take a positive value again; such
     columns sit at value zero after phase one, so feasibility is preserved
-    even when the pivot element is negative.  Returns the final reduced-cost
-    row, whose entries under the artificial columns encode the duals.
+    even when the pivot element is negative.  Returns the unbounded entering
+    column (None at optimality) and the final denominator of ``red``, whose
+    entries under the artificial columns encode the duals.
     """
-    red = _reduced_cost_row(tableau, basis, cost)
-
-    def apply_pivot(row: int, col: int) -> None:
-        _pivot(tableau, basis, row, col)
-        factor = red[col]
-        prow = tableau[row]
-        if factor:
-            for j in range(len(red)):
-                if prow[j]:
-                    red[j] -= factor * prow[j]
+    for k, b in enumerate(basis):
+        if red[b]:
+            prow = rows[k]
+            rden = linalg._eliminate(red, prow, b, [j for j, v in enumerate(prow) if v], rden)
 
     while True:
         enter = next((j for j in range(enterable) if red[j] < 0), None)
         if enter is None:
-            return "optimal", None, red
+            return None, rden
+        leave = None
         if evict_from is not None:
-            evict = next(
-                (
-                    i
-                    for i, row in enumerate(tableau)
-                    if basis[i] >= evict_from and row[enter] != 0
-                ),
+            leave = next(
+                (i for i, row in enumerate(rows) if basis[i] >= evict_from and row[enter]),
                 None,
             )
-            if evict is not None:
-                apply_pivot(evict, enter)
-                continue
-        leave = None
-        best_ratio: Optional[Fraction] = None
-        for i, row in enumerate(tableau):
-            coeff = row[enter]
-            if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
         if leave is None:
-            return "unbounded", enter, red
-        apply_pivot(leave, enter)
+            # Ratio rhs/coeff: the row denominator cancels, and coeff > 0, so
+            # ratios compare by cross-multiplication.
+            best_rhs = best_coeff = 0
+            for i, row in enumerate(rows):
+                coeff = row[enter]
+                if coeff > 0:
+                    cross = row[-1] * best_coeff - best_rhs * coeff
+                    if leave is None or cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                        best_rhs, best_coeff = row[-1], coeff
+                        leave = i
+            if leave is None:
+                return enter, rden
+        rden = _pivot(rows, dens, basis, red, rden, leave, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +228,16 @@ def _bland_simplex(
 class _Normalized:
     """Standard form: x_j = shift_j + column j, minus column neg[j] if free.
 
-    Rows are the user constraints, then one row per finite upper bound.
+    Rows are the user constraints, then one row per finite upper bound; each
+    is an integer row (right-hand side last) over a positive denominator.
     """
 
     n: int
     shift: list[Fraction]  # lower bound, or 0 for a free variable
     neg: dict[int, int]  # free variable -> its negative-part column
     tags: list[tuple[str, int]]  # per row: ("user", i) or ("upper", j)
-    matrix: list[list[Fraction]]  # sign-flipped standard-form matrix
-    rhs: list[Fraction]  # nonnegative right-hand side
+    rows: list[list[int]]  # sign-flipped standard-form rows, rhs >= 0 last
+    dens: list[int]  # row denominators
     rho: list[int]  # row sign flips
     art0: int  # first artificial column
     ncols: int
@@ -246,7 +250,7 @@ def _normalize(lp: LinearProgram) -> _Normalized:
     for j in range(n):
         if lp.lower[j] is None:
             neg[j] = n + len(neg)
-    rows: list[tuple[Sequence[Fraction], str, Fraction, tuple[str, int]]] = [
+    specs: list[tuple[Sequence[Fraction], str, Fraction, tuple[str, int]]] = [
         (con.coefficients, con.relation, con.rhs, ("user", i))
         for i, con in enumerate(lp.constraints)
     ]
@@ -254,38 +258,47 @@ def _normalize(lp: LinearProgram) -> _Normalized:
         if up is not None:
             unit = [_F0] * n
             unit[j] = _F1
-            rows.append((unit, "<=", up, ("upper", j)))
-    m = len(rows)
+            specs.append((unit, "<=", up, ("upper", j)))
+    m = len(specs)
     slack_col = n + len(neg)
-    art0 = slack_col + sum(1 for row in rows if row[1] != "=")
+    art0 = slack_col + sum(1 for spec in specs if spec[1] != "=")
     ncols = art0 + m
-    matrix = [[_F0] * ncols for _ in range(m)]
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     rho = [1] * m
-    for k, (coeffs, rel, b, _tag) in enumerate(rows):
-        row = matrix[k]
-        for j, c in enumerate(coeffs):
-            if c:
-                row[j] = c
-                if shift[j]:
-                    b -= c * shift[j]
+    shifted = [(j, lo) for j, lo in enumerate(shift) if lo]
+    for k, (coeffs, rel, b, _tag) in enumerate(specs):
+        for j, lo in shifted:
+            if coeffs[j]:
+                b -= coeffs[j] * lo
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        bnum, bden = b.as_integer_ratio()
+        den = lcm(bden, *[d for _num, d in ratios])
+        sign = 1
+        if bnum < 0:
+            rho[k] = sign = -1
+        slack = sign * den
+        row = [0] * (ncols + 1)
+        for j, (num, d) in enumerate(ratios):
+            if num:
+                row[j] = v = sign * num * (den // d)
                 if j in neg:
-                    row[neg[j]] = -c
+                    row[neg[j]] = -v
         if rel == "<=":
-            row[slack_col] = _F1
+            row[slack_col] = slack
             slack_col += 1
         elif rel == ">=":
-            row[slack_col] = -_F1
+            row[slack_col] = -slack
             slack_col += 1
-        if b < 0:
-            rho[k] = -1
-            b = -b
-            for j in range(art0):
-                if row[j]:
-                    row[j] = -row[j]
-        row[art0 + k] = _F1
-        rhs.append(b)
-    return _Normalized(n, shift, neg, [row[3] for row in rows], matrix, rhs, rho, art0, ncols)
+        row[art0 + k] = den
+        row[ncols] = sign * bnum * (den // bden)
+        g = gcd(*row)
+        if g > 1:
+            row = [v // g for v in row]
+            den //= g
+        rows.append(row)
+        dens.append(den)
+    return _Normalized(n, shift, neg, [spec[3] for spec in specs], rows, dens, rho, art0, ncols)
 
 
 def _split_duals(
@@ -307,7 +320,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     norm = _normalize(lp)
     outcome = _solve_normalized(lp, norm)
     verify_outcome(lp, outcome)
-    for sink in _RECORDERS:
+    for sink in _SINKS.get():
         sink.append((lp, outcome))
     return outcome
 
@@ -315,25 +328,23 @@ def solve(lp: LinearProgram) -> LPOutcome:
 def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     m = len(norm.tags)
     n = norm.n
-    tableau = [norm.matrix[k][:] + [norm.rhs[k]] for k in range(m)]
+    rows, dens = norm.rows, norm.dens
     basis = [norm.art0 + k for k in range(m)]
 
-    cost1 = [_F0] * norm.ncols
-    for k in range(m):
-        cost1[norm.art0 + k] = _F1
-    state, _enter, red = _bland_simplex(tableau, basis, cost1, norm.ncols)
-    if state != "optimal":
+    red = [0] * norm.art0 + [1] * m + [0]
+    enter, rden = _simplex(rows, dens, basis, red, 1, norm.ncols)
+    if enter is not None:
         raise CertificateError("phase one reported unbounded below zero")
-    phase1_value = sum((cost1[basis[k]] * tableau[k][-1] for k in range(m)), _F0)
 
-    if phase1_value > 0:
+    # The phase-one value is the sum of the basic artificials, each >= 0.
+    if any(basis[k] >= norm.art0 and rows[k][-1] for k in range(m)):
         # Reduced cost under artificial column k is 1 - y_k for the flipped
         # system, so the Farkas multipliers fall out of the final cost row.
         # A native column's phase-one reduced cost is -y.A_j >= 0, exactly
         # the lower-bound multiplier that closes the combination to zero.
-        eta = [norm.rho[k] * (_F1 - red[norm.art0 + k]) for k in range(m)]
+        eta = [Fraction(norm.rho[k] * (rden - red[norm.art0 + k]), rden) for k in range(m)]
         user, upper = _split_duals(norm, lp, eta)
-        lower = [_F0 if j in norm.neg else red[j] for j in range(n)]
+        lower = [_F0 if j in norm.neg else Fraction(red[j], rden) for j in range(n)]
         return LPOutcome(
             LPStatus.INFEASIBLE,
             farkas=tuple(user),
@@ -341,24 +352,20 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
             farkas_upper=tuple(upper),
         )
 
-    cost2 = [_F0] * norm.ncols
+    cost = [_F0] * (norm.ncols + 1)
     for j in range(n):
-        cost2[j] = lp.objective[j]
+        cost[j] = lp.objective[j]
     for j, col in norm.neg.items():
-        cost2[col] = -lp.objective[j]
-
-    state, enter, red = _bland_simplex(
-        tableau, basis, cost2, norm.art0, evict_from=norm.art0
-    )
-    point = _point_from_basis(norm, tableau, basis)
-    if state == "unbounded":
-        if enter is None:
-            raise CertificateError("unbounded phase two without an entering column")
+        cost[col] = -lp.objective[j]
+    red, rden = linalg._scaled(cost)
+    enter, rden = _simplex(rows, dens, basis, red, rden, norm.art0, evict_from=norm.art0)
+    point = _point_from_basis(norm, basis)
+    if enter is not None:
         direction = [_F0] * norm.ncols
         direction[enter] = _F1
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(rows):
             if row[enter]:
-                direction[basis[i]] = -row[enter]
+                direction[basis[i]] = Fraction(-row[enter], dens[i])
         ray = tuple(
             direction[j] - direction[norm.neg[j]] if j in norm.neg else direction[j]
             for j in range(n)
@@ -368,7 +375,7 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     value = sum((lp.objective[j] * point[j] for j in range(n)), _F0)
     # Artificial columns carry zero phase-two cost, so their reduced costs
     # are exactly -y for the flipped system.
-    eta = [norm.rho[k] * (-red[norm.art0 + k]) for k in range(m)]
+    eta = [Fraction(-norm.rho[k] * red[norm.art0 + k], rden) for k in range(m)]
     user, _upper = _split_duals(norm, lp, eta)
     reduced = _reduced_costs(lp, user)
     return LPOutcome(
@@ -380,12 +387,10 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
     )
 
 
-def _point_from_basis(
-    norm: _Normalized, tableau: list[list[Fraction]], basis: list[int]
-) -> tuple[Fraction, ...]:
+def _point_from_basis(norm: _Normalized, basis: list[int]) -> tuple[Fraction, ...]:
     assignment = [_F0] * norm.ncols
     for k, b in enumerate(basis):
-        assignment[b] = tableau[k][-1]
+        assignment[b] = Fraction(norm.rows[k][-1], norm.dens[k])
     return tuple(
         norm.shift[j] + assignment[j] - (assignment[norm.neg[j]] if j in norm.neg else _F0)
         for j in range(norm.n)

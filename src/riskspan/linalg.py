@@ -1,56 +1,93 @@
-"""Exact Gaussian elimination helpers over Fraction matrices (internal)."""
+"""Exact fraction-free elimination on integer rows (internal).
+
+A rational row is scaled to integers over its least common denominator, and
+rows are eliminated Bareiss-style: clearing a column multiplies the row by
+the pivot over a gcd and subtracts a multiple of the pivot row, then divides
+the row by the gcd of its entries.  No entry is ever a ``Fraction``; results
+are read out as Fractions.  ``_eliminate`` is also the pivot step of the
+simplex in ``exactlp``, whose rows carry one positive denominator each.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Row = Sequence[Fraction]
 
-_F0 = Fraction(0)
+
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # A list, not a generator, as the star-argument (see ``_eliminate``).
+    den = lcm(*[d for _num, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _eliminate(
+    row: list[int], prow: list[int], col: int, nz: Sequence[int], den: int = 0
+) -> int:
+    """Clear ``row[col]`` with the pivot row ``prow``, in place.
+
+    ``nz`` lists the columns where ``prow`` is nonzero.  The row becomes
+    ``row * (p/g) - (row[col]/g) * prow`` with ``p = prow[col]`` and
+    ``g = gcd(row[col], p)``, and is then divided by the gcd of its entries
+    and ``den``.  For a row read as ``row / den`` and a pivot row read as
+    ``prow / p`` this is the exact update ``row - row[col] * prow``; the new
+    denominator is returned.  With ``den = 0`` only the row's direction counts.
+    """
+    p = prow[col]
+    f = row[col]
+    g = gcd(f, p)
+    scale = p // g
+    f //= g
+    if scale != 1:
+        row[:] = [v * scale for v in row]
+    for j in nz:
+        row[j] -= f * prow[j]
+    den *= scale
+    # Not gcd(den, *row): on CPython 3.11 that form kept 0.4 MB more memory
+    # allocated after 40 rounds of 4-atom body analyses, and together with a
+    # generator star-argument in ``_scaled`` it raised peak RSS by 1 MiB.
+    g = gcd(gcd(*row), den)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den //= g
+    return den
+
+
+def _echelon(rows: Sequence[Row]) -> list[tuple[int, int, list[int]]]:
+    """(row index, pivot column, reduced integer row) per independent row.
+
+    Rows are taken greedily in order; each kept row is reduced against the
+    rows kept before it, so it is zero at their pivot columns and its pivot
+    is its first nonzero column.
+    """
+    kept: list[tuple[int, int, list[int]]] = []
+    for idx, values in enumerate(rows):
+        work = _reduce(kept, _scaled(values)[0])
+        pivot = next((j for j, v in enumerate(work) if v), None)
+        if pivot is not None:
+            kept.append((idx, pivot, work))
+    return kept
+
+
+def _reduce(kept: Sequence[tuple[int, int, list[int]]], work: list[int]) -> list[int]:
+    """Clear ``work`` at every pivot column of an ``_echelon`` result."""
+    for _idx, pcol, prow in kept:
+        if work[pcol]:
+            _eliminate(work, prow, pcol, [j for j, v in enumerate(prow) if v])
+    return work
 
 
 def rank(rows: Sequence[Row]) -> int:
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rk = 0
-    col = 0
-    while rk < len(work) and col < ncols:
-        pivot = next((i for i in range(rk, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        pv = work[rk][col]
-        for i in range(len(work)):
-            if i != rk and work[i][col] != 0:
-                factor = work[i][col] / pv
-                row_i, row_r = work[i], work[rk]
-                for j in range(col, ncols):
-                    row_i[j] -= factor * row_r[j]
-        rk += 1
-        col += 1
-    return rk
+    return len(_echelon(rows))
 
 
 def independent_rows(rows: Sequence[Row]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in order."""
-    kept: list[int] = []
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for idx, row in enumerate(rows):
-        work = list(row)
-        for pcol, prow in zip(pivots, reduced):
-            if work[pcol] != 0:
-                factor = work[pcol] / prow[pcol]
-                for j in range(len(work)):
-                    work[j] -= factor * prow[j]
-        pivot = next((j for j in range(len(work)) if work[j] != 0), None)
-        if pivot is not None:
-            kept.append(idx)
-            reduced.append(work)
-            pivots.append(pivot)
-    return kept
+    return [idx for idx, _pcol, _row in _echelon(rows)]
 
 
 def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
@@ -59,31 +96,17 @@ def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[F
     if m == 0:
         return []
     n = len(rows[0])
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col] / pv
-                row_i, row_r = aug[i], aug[r]
-                for j in range(col, n + 1):
-                    row_i[j] -= factor * row_r[j]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [_F0] * n
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n] / aug[i][col]
+    kept = _echelon([list(rows[i]) + [rhs[i]] for i in range(m)])
+    if any(pcol == n for _idx, pcol, _row in kept):
+        return None
+    # Back-substitute: a kept row is already zero at the pivots of the rows
+    # before it, so clearing it at the pivots after it (last row first)
+    # leaves one nonzero per row among the pivot columns.
+    x = [Fraction(0)] * n
+    for k in range(len(kept) - 1, -1, -1):
+        _idx, pcol, work = kept[k]
+        _reduce(kept[k + 1 :], work)
+        x[pcol] = Fraction(work[n], work[pcol])
     return x
 
 
@@ -93,5 +116,4 @@ def in_span(rows: Sequence[Row], vector: Row) -> bool:
         return True
     if not rows:
         return False
-    base = rank(rows)
-    return rank(list(rows) + [vector]) == base
+    return not any(_reduce(_echelon(rows), _scaled(vector)[0]))

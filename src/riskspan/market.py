@@ -92,7 +92,14 @@ class MarketTree:
         self.asset_count = asset_count
         self.terminal_time = terminal
         self.space = space
-        self._leaves_below_cache: dict[str, tuple[str, ...]] = {}
+        # Leaves below every node, deepest level first, in child order.
+        leaves: dict[str, tuple[str, ...]] = {}
+        for node in sorted(nodes, key=lambda nd: -nd.time):
+            kids = self._children[node.node_id]
+            leaves[node.node_id] = (
+                tuple(leaf for kid in kids for leaf in leaves[kid]) if kids else (node.node_id,)
+            )
+        self._leaves_below = leaves
 
     def node(self, node_id: str) -> MarketNode:
         try:
@@ -108,19 +115,7 @@ class MarketTree:
         return sorted(ids, key=lambda nid: (self._by_id[nid].time, nid))
 
     def leaves_below(self, node_id: str) -> tuple[str, ...]:
-        cached = self._leaves_below_cache.get(node_id)
-        if cached is not None:
-            return cached
-        kids = self._children[node_id]
-        if not kids:
-            result: tuple[str, ...] = (node_id,)
-        else:
-            collected: list[str] = []
-            for kid in kids:
-                collected.extend(self.leaves_below(kid))
-            result = tuple(collected)
-        self._leaves_below_cache[node_id] = result
-        return result
+        return self._leaves_below[node_id]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,394 @@
+"""The Fraction-arithmetic LP engine and eliminations, kept as test oracles.
+
+``solve`` is the two-phase Bland simplex over ``fractions.Fraction`` that
+``riskspan.exactlp`` ran before it moved to integer rows with one
+denominator each; ``rank``, ``independent_rows``, ``solve_exact`` and
+``in_span`` are the three Fraction Gaussian eliminations ``riskspan.linalg``
+ran before it shared one fraction-free kernel.  Bland's rule sees the same
+exact values either way, so the library must return equal results, field
+for field, on every input.  Nothing here verifies certificates.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from riskspan.errors import CertificateError
+from riskspan.exactlp import LinearProgram, LPOutcome, LPStatus
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+Row = Sequence[Fraction]
+
+
+# ---------------------------------------------------------------------------
+# simplex core
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    prow = tableau[row]
+    if piv != 1:
+        inv = _F1 / piv
+        for j in range(len(prow)):
+            if prow[j]:
+                prow[j] *= inv
+    for i, other in enumerate(tableau):
+        if i != row and other[col]:
+            factor = other[col]
+            for j in range(len(prow)):
+                if prow[j]:
+                    other[j] -= factor * prow[j]
+    basis[row] = col
+
+
+def _reduced_cost_row(
+    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
+) -> list[Fraction]:
+    width = len(tableau[0]) if tableau else 0
+    row = cost[:] + [_F0] * (width - len(cost))
+    for k, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            trow = tableau[k]
+            for j in range(width):
+                if trow[j]:
+                    row[j] -= cb * trow[j]
+    return row
+
+
+def _bland_simplex(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    cost: list[Fraction],
+    enterable: int,
+    evict_from: Optional[int] = None,
+) -> tuple[str, Optional[int], list[Fraction]]:
+    """Run Bland pivots to optimality or an unbounded column.
+
+    ``enterable`` caps the column indices that may enter the basis (used to
+    freeze artificial columns out in phase two).  With ``evict_from`` set,
+    any basic variable at or beyond that column index is forced to leave at
+    a ratio-zero pivot before it could take a positive value again; such
+    columns sit at value zero after phase one, so feasibility is preserved
+    even when the pivot element is negative.  Returns the final reduced-cost
+    row, whose entries under the artificial columns encode the duals.
+    """
+    red = _reduced_cost_row(tableau, basis, cost)
+
+    def apply_pivot(row: int, col: int) -> None:
+        _pivot(tableau, basis, row, col)
+        factor = red[col]
+        prow = tableau[row]
+        if factor:
+            for j in range(len(red)):
+                if prow[j]:
+                    red[j] -= factor * prow[j]
+
+    while True:
+        enter = next((j for j in range(enterable) if red[j] < 0), None)
+        if enter is None:
+            return "optimal", None, red
+        if evict_from is not None:
+            evict = next(
+                (
+                    i
+                    for i, row in enumerate(tableau)
+                    if basis[i] >= evict_from and row[enter] != 0
+                ),
+                None,
+            )
+            if evict is not None:
+                apply_pivot(evict, enter)
+                continue
+        leave = None
+        best_ratio: Optional[Fraction] = None
+        for i, row in enumerate(tableau):
+            coeff = row[enter]
+            if coeff > 0:
+                ratio = row[-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded", enter, red
+        apply_pivot(leave, enter)
+
+
+# ---------------------------------------------------------------------------
+# standard-form assembly
+
+
+@dataclass
+class _Normalized:
+    """Standard form: x_j = shift_j + column j, minus column neg[j] if free.
+
+    Rows are the user constraints, then one row per finite upper bound.
+    """
+
+    n: int
+    shift: list[Fraction]  # lower bound, or 0 for a free variable
+    neg: dict[int, int]  # free variable -> its negative-part column
+    tags: list[tuple[str, int]]  # per row: ("user", i) or ("upper", j)
+    matrix: list[list[Fraction]]  # sign-flipped standard-form matrix
+    rhs: list[Fraction]  # nonnegative right-hand side
+    rho: list[int]  # row sign flips
+    art0: int  # first artificial column
+    ncols: int
+
+
+def _normalize(lp: LinearProgram) -> _Normalized:
+    n = len(lp.objective)
+    shift = [_F0 if lo is None else lo for lo in lp.lower]
+    neg: dict[int, int] = {}
+    for j in range(n):
+        if lp.lower[j] is None:
+            neg[j] = n + len(neg)
+    rows: list[tuple[Sequence[Fraction], str, Fraction, tuple[str, int]]] = [
+        (con.coefficients, con.relation, con.rhs, ("user", i))
+        for i, con in enumerate(lp.constraints)
+    ]
+    for j, up in enumerate(lp.upper):
+        if up is not None:
+            unit = [_F0] * n
+            unit[j] = _F1
+            rows.append((unit, "<=", up, ("upper", j)))
+    m = len(rows)
+    slack_col = n + len(neg)
+    art0 = slack_col + sum(1 for row in rows if row[1] != "=")
+    ncols = art0 + m
+    matrix = [[_F0] * ncols for _ in range(m)]
+    rhs: list[Fraction] = []
+    rho = [1] * m
+    for k, (coeffs, rel, b, _tag) in enumerate(rows):
+        row = matrix[k]
+        for j, c in enumerate(coeffs):
+            if c:
+                row[j] = c
+                if shift[j]:
+                    b -= c * shift[j]
+                if j in neg:
+                    row[neg[j]] = -c
+        if rel == "<=":
+            row[slack_col] = _F1
+            slack_col += 1
+        elif rel == ">=":
+            row[slack_col] = -_F1
+            slack_col += 1
+        if b < 0:
+            rho[k] = -1
+            b = -b
+            for j in range(art0):
+                if row[j]:
+                    row[j] = -row[j]
+        row[art0 + k] = _F1
+        rhs.append(b)
+    return _Normalized(n, shift, neg, [row[3] for row in rows], matrix, rhs, rho, art0, ncols)
+
+
+def _split_duals(
+    norm: _Normalized, lp: LinearProgram, eta: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Split per-row multipliers into user-row and upper-bound parts."""
+    user = [_F0] * len(lp.constraints)
+    upper = [_F0] * norm.n
+    for (kind, idx), y in zip(norm.tags, eta):
+        if kind == "user":
+            user[idx] = y
+        else:
+            upper[idx] = y
+    return user, upper
+
+
+def solve(lp: LinearProgram) -> LPOutcome:
+    """The Fraction two-phase simplex; the outcome is not verified."""
+    return _solve_normalized(lp, _normalize(lp))
+
+
+def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
+    m = len(norm.tags)
+    n = norm.n
+    tableau = [norm.matrix[k][:] + [norm.rhs[k]] for k in range(m)]
+    basis = [norm.art0 + k for k in range(m)]
+
+    cost1 = [_F0] * norm.ncols
+    for k in range(m):
+        cost1[norm.art0 + k] = _F1
+    state, _enter, red = _bland_simplex(tableau, basis, cost1, norm.ncols)
+    if state != "optimal":
+        raise CertificateError("phase one reported unbounded below zero")
+    phase1_value = sum((cost1[basis[k]] * tableau[k][-1] for k in range(m)), _F0)
+
+    if phase1_value > 0:
+        # Reduced cost under artificial column k is 1 - y_k for the flipped
+        # system, so the Farkas multipliers fall out of the final cost row.
+        # A native column's phase-one reduced cost is -y.A_j >= 0, exactly
+        # the lower-bound multiplier that closes the combination to zero.
+        eta = [norm.rho[k] * (_F1 - red[norm.art0 + k]) for k in range(m)]
+        user, upper = _split_duals(norm, lp, eta)
+        lower = [_F0 if j in norm.neg else red[j] for j in range(n)]
+        return LPOutcome(
+            LPStatus.INFEASIBLE,
+            farkas=tuple(user),
+            farkas_lower=tuple(lower),
+            farkas_upper=tuple(upper),
+        )
+
+    cost2 = [_F0] * norm.ncols
+    for j in range(n):
+        cost2[j] = lp.objective[j]
+    for j, col in norm.neg.items():
+        cost2[col] = -lp.objective[j]
+
+    state, enter, red = _bland_simplex(
+        tableau, basis, cost2, norm.art0, evict_from=norm.art0
+    )
+    point = _point_from_basis(norm, tableau, basis)
+    if state == "unbounded":
+        if enter is None:
+            raise CertificateError("unbounded phase two without an entering column")
+        direction = [_F0] * norm.ncols
+        direction[enter] = _F1
+        for i, row in enumerate(tableau):
+            if row[enter]:
+                direction[basis[i]] = -row[enter]
+        ray = tuple(
+            direction[j] - direction[norm.neg[j]] if j in norm.neg else direction[j]
+            for j in range(n)
+        )
+        return LPOutcome(LPStatus.UNBOUNDED, point=point, ray=ray)
+
+    value = sum((lp.objective[j] * point[j] for j in range(n)), _F0)
+    # Artificial columns carry zero phase-two cost, so their reduced costs
+    # are exactly -y for the flipped system.
+    eta = [norm.rho[k] * (-red[norm.art0 + k]) for k in range(m)]
+    user, _upper = _split_duals(norm, lp, eta)
+    reduced = _reduced_costs(lp, user)
+    return LPOutcome(
+        LPStatus.OPTIMAL,
+        value=value,
+        point=point,
+        dual=tuple(user),
+        reduced_costs=tuple(reduced),
+    )
+
+
+def _point_from_basis(
+    norm: _Normalized, tableau: list[list[Fraction]], basis: list[int]
+) -> tuple[Fraction, ...]:
+    assignment = [_F0] * norm.ncols
+    for k, b in enumerate(basis):
+        assignment[b] = tableau[k][-1]
+    return tuple(
+        norm.shift[j] + assignment[j] - (assignment[norm.neg[j]] if j in norm.neg else _F0)
+        for j in range(norm.n)
+    )
+
+
+def _reduced_costs(lp: LinearProgram, user_dual: Sequence[Fraction]) -> list[Fraction]:
+    n = len(lp.objective)
+    reduced = list(lp.objective)
+    for y, con in zip(user_dual, lp.constraints):
+        if y:
+            for j in range(n):
+                if con.coefficients[j]:
+                    reduced[j] -= y * con.coefficients[j]
+    return reduced
+
+
+# ---------------------------------------------------------------------------
+# Gaussian eliminations
+
+
+def rank(rows: Sequence[Row]) -> int:
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    rk = 0
+    col = 0
+    while rk < len(work) and col < ncols:
+        pivot = next((i for i in range(rk, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        pv = work[rk][col]
+        for i in range(len(work)):
+            if i != rk and work[i][col] != 0:
+                factor = work[i][col] / pv
+                row_i, row_r = work[i], work[rk]
+                for j in range(col, ncols):
+                    row_i[j] -= factor * row_r[j]
+        rk += 1
+        col += 1
+    return rk
+
+
+def independent_rows(rows: Sequence[Row]) -> list[int]:
+    """Indices of a maximal linearly independent subset, greedy in order."""
+    kept: list[int] = []
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for idx, row in enumerate(rows):
+        work = list(row)
+        for pcol, prow in zip(pivots, reduced):
+            if work[pcol] != 0:
+                factor = work[pcol] / prow[pcol]
+                for j in range(len(work)):
+                    work[j] -= factor * prow[j]
+        pivot = next((j for j in range(len(work)) if work[j] != 0), None)
+        if pivot is not None:
+            kept.append(idx)
+            reduced.append(work)
+            pivots.append(pivot)
+    return kept
+
+
+def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """Some exact solution of ``rows @ x = rhs`` (free vars pinned to 0), or None."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][col]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                factor = aug[i][col] / pv
+                row_i, row_r = aug[i], aug[r]
+                for j in range(col, n + 1):
+                    row_i[j] -= factor * row_r[j]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [_F0] * n
+    for i, col in enumerate(pivot_cols):
+        x[col] = aug[i][n] / aug[i][col]
+    return x
+
+
+def in_span(rows: Sequence[Row], vector: Row) -> bool:
+    """Whether ``vector`` lies in the row span of ``rows``."""
+    if all(v == 0 for v in vector):
+        return True
+    if not rows:
+        return False
+    base = rank(rows)
+    return rank(list(rows) + [vector]) == base

@@ -1,6 +1,8 @@
 """Exact simplex: statuses, certificates, permutation invariance, vertices."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,38 @@ def test_crossed_bounds_are_infeasible():
     assert out.status is LPStatus.INFEASIBLE
     assert out.farkas == ()
     assert (out.farkas_lower, out.farkas_upper) == ((Fraction(1),), (Fraction(-1),))
+
+
+def test_record_outcomes_keeps_to_its_own_thread():
+    # Two threads record at the same time; each sink sees only its own LPs.
+    solves = 150
+    barrier = threading.Barrier(2, timeout=30)
+    sinks: dict[int, list] = {}
+
+    def work(tag: int) -> None:
+        lp = LinearProgram.minimize([tag], (LinearConstraint.of([1], ">=", tag),), lower=[0])
+        mine: list = []
+        with record_outcomes(mine):
+            barrier.wait()
+            for _ in range(solves):
+                solve(lp)
+            barrier.wait()
+        sinks[tag] = mine
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for tag in (1, 2):
+        assert len(sinks[tag]) == solves
+        assert all(lp.objective == (tag,) for lp, _outcome in sinks[tag])
 
 
 def test_lower_bounds_are_native_columns():

@@ -1,5 +1,6 @@
 """Market trees: martingale polytopes, attainability, the non-solid ball."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -82,6 +83,23 @@ class TestTreeValidation:
     def test_atoms_ordered_by_leaf_id(self):
         tree = trinomial_tree()
         assert tree.space.atoms == ("u", "v", "w")
+
+    def test_leaves_below_is_fixed_at_construction(self):
+        def collect(tree, nid):
+            kids = tree.children(nid)
+            return tuple(leaf for kid in kids for leaf in collect(tree, kid)) if kids else (nid,)
+
+        tree = two_period_tree()
+        state = copy.deepcopy(vars(tree))
+        assert tree.leaves_below("root") == ("aa", "ab", "ba", "bb")
+        assert tree.leaves_below("b") == ("ba", "bb")
+        assert tree.leaves_below("ab") == ("ab",)
+        rnd = random.Random(61)
+        for other in [tree] + [random_tree(rnd) for _ in range(20)]:
+            for node in other.nodes:
+                assert other.leaves_below(node.node_id) == collect(other, node.node_id)
+        # Lookups write nothing back into the tree.
+        assert vars(tree) == state
 
 
 class TestEmmSet:
