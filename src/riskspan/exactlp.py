@@ -32,7 +32,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -374,10 +374,12 @@ def _solve_normalized(lp: LinearProgram, norm: _Normalized) -> LPOutcome:
 
     value = sum((lp.objective[j] * point[j] for j in range(n)), _F0)
     # Artificial columns carry zero phase-two cost, so their reduced costs
-    # are exactly -y for the flipped system.
+    # are exactly -y for the flipped system.  A native column's reduced cost
+    # c_j - y.A_j - upper_j is on the same row; adding back the upper-bound
+    # multiplier leaves the reduced cost against the user rows alone.
     eta = [Fraction(-norm.rho[k] * red[norm.art0 + k], rden) for k in range(m)]
-    user, _upper = _split_duals(norm, lp, eta)
-    reduced = _reduced_costs(lp, user)
+    user, upper = _split_duals(norm, lp, eta)
+    reduced = [Fraction(red[j], rden) + upper[j] for j in range(n)]
     return LPOutcome(
         LPStatus.OPTIMAL,
         value=value,
@@ -550,14 +552,30 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
 # vertex enumeration
 
 
+def _direction(coefficients: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
+    """The primitive integer direction of a row up to sign; None for a zero row."""
+    ints = linalg._scaled(coefficients)[0]
+    g = gcd(*ints)
+    if g == 0:
+        return None
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
 def vertex_enumeration(
     constraints: Sequence[LinearConstraint], dimension: int, *, _bounded: bool = False
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded H-polytope by basis enumeration.
+    """All vertices of a bounded H-polytope by enumeration of candidate bases.
 
-    Brute force over d-subsets of rows with exact rank checks; intended for
-    d <= 8 (the documented scalability boundary).  Raises PreconditionError
-    when the region is unbounded; an infeasible region has no vertices.
+    Every equality row is tight at a vertex, so a candidate basis is all the
+    equality rows (of rank r) plus d - r inequality rows.  Parallel rows are
+    dependent, so a basis takes at most one row from each parallel class
+    (rows with one primitive direction up to sign), and zero rows none; each
+    candidate is solved by one exact elimination and kept when its unique
+    solution is feasible.  Intended for d <= 8 (the documented scalability
+    boundary).  Raises PreconditionError when the region is unbounded; an
+    infeasible region has no vertices.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
@@ -583,15 +601,22 @@ def vertex_enumeration(
                 if probe.status is LPStatus.INFEASIBLE:
                     return []
 
+    eq_rows = [list(con.coefficients) for con in constraints if con.relation == "="]
+    eq_rhs = [con.rhs for con in constraints if con.relation == "="]
+    classes: dict[tuple[int, ...], list[LinearConstraint]] = {}
+    for con in constraints:
+        if con.relation != "=":
+            key = _direction(con.coefficients)
+            if key is not None:
+                classes.setdefault(key, []).append(con)
+
     vertices: set[tuple[Fraction, ...]] = set()
-    rows = [list(con.coefficients) for con in constraints]
-    for subset in combinations(range(len(constraints)), dimension):
-        sub = [rows[i] for i in subset]
-        if linalg.rank(sub) != dimension:
-            continue
-        point = linalg.solve_exact(sub, [constraints[i].rhs for i in subset])
-        if point is None:
-            continue
-        if _row_violation(constraints, point) is None:
-            vertices.add(tuple(point))
+    for chosen in combinations(classes.values(), dimension - linalg.rank(eq_rows)):
+        for picks in product(*chosen):
+            point = linalg._unique_solution(
+                eq_rows + [list(con.coefficients) for con in picks],
+                eq_rhs + [con.rhs for con in picks],
+            )
+            if point is not None and _row_violation(constraints, point) is None:
+                vertices.add(tuple(point))
     return sorted(vertices)

@@ -168,12 +168,38 @@ class MartingaleMeasureSet:
             Measure(self.space, hi.point),
         )
 
+    def _unpinned_atoms(self) -> Iterator[tuple[str, RandomVariable]]:
+        """Atoms whose mass the equality rows leave free, with their indicators.
+
+        In atom order.  An atom is pinned when its indicator lies in the row
+        span of the constraints: its mass is then constant on {Aq = b}, so
+        constant on the closure, viable market or not.
+        """
+        rows = [con.coefficients for con in self.lp_constraints()]
+        for atom in self.space.atoms:
+            indicator = RandomVariable.indicator(self.space, [atom])
+            if not linalg.in_span(rows, indicator.values):
+                yield atom, indicator
+
     def is_singleton(self) -> bool:
-        for i in range(self.space.size):
-            probe = RandomVariable.indicator(self.space, [self.space.atoms[i]])
-            low, high, _m1, _m2 = self.bounds(probe)
+        """Whether the closure is one point; raises PreconditionError if empty.
+
+        Bounds only the masses of unpinned atoms.  When every atom is pinned,
+        {Aq = b} is at most one point, and the closure is that point if its
+        masses are nonnegative.
+        """
+        unpinned = [indicator for _atom, indicator in self._unpinned_atoms()]
+        for indicator in unpinned:
+            low, high, _m1, _m2 = self.bounds(indicator)
             if low != high:
                 return False
+        if not unpinned:
+            rows = self.lp_constraints()
+            point = linalg.solve_exact(
+                [con.coefficients for con in rows], [con.rhs for con in rows]
+            )
+            if point is None or any(q < 0 for q in point):
+                raise PreconditionError("empty martingale measure set")
         return True
 
     def vertices(self) -> list[tuple[Fraction, ...]]:
@@ -390,14 +416,13 @@ def nonsolidity_witness(tree: MarketTree) -> Optional[Witness]:
     """First singleton whose EMM mass is non-constant; None iff market complete.
 
     Scans singletons in atom order; the two extremal measures certify the
-    split.  Larger events need no scan: the EMM set lies in the simplex, so
+    split.  Atoms whose mass the martingale rows pin are skipped without an
+    LP.  Larger events need no scan: the EMM set lies in the simplex, so
     once every singleton's mass is pinned it is a single point.
     """
     _require_viable(tree)
     emm = emm_set(tree)
-    space = tree.space
-    for atom in space.atoms:
-        indicator = RandomVariable.indicator(space, [atom])
+    for atom, indicator in emm._unpinned_atoms():
         low, high, m_low, m_high = emm.bounds(indicator)
         if low != high:
             return Witness((atom,), indicator, low, high, m_low, m_high)

@@ -21,7 +21,10 @@ from .risk import PolyhedralRiskFunction
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"input {path} is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer above the digit limit

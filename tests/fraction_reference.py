@@ -1,4 +1,4 @@
-"""The Fraction-arithmetic LP engine and eliminations, kept as test oracles.
+"""Earlier implementations kept as test oracles.
 
 ``solve`` is the two-phase Bland simplex over ``fractions.Fraction`` that
 ``riskspan.exactlp`` ran before it moved to integer rows with one
@@ -7,16 +7,28 @@ denominator each; ``rank``, ``independent_rows``, ``solve_exact`` and
 ran before it shared one fraction-free kernel.  Bland's rule sees the same
 exact values either way, so the library must return equal results, field
 for field, on every input.  Nothing here verifies certificates.
+
+``vertex_enumeration`` is the brute force over every d-subset of rows that
+``riskspan.exactlp`` ran before candidate bases were drawn from equality
+rank and parallel classes.  Like it, it probes with ``riskspan.exactlp.solve``
+and checks each subset with ``riskspan.linalg.rank`` and ``solve_exact``,
+the integer kernels that the Fraction engine above cross-checks.
+``is_singleton`` and ``nonsolidity_witness`` are the market scans that
+bounded every atom's mass before pinned atoms were skipped.  The library
+must return identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
-from riskspan.errors import CertificateError
-from riskspan.exactlp import LinearProgram, LPOutcome, LPStatus
+from riskspan import exactlp, linalg, market
+from riskspan.errors import CertificateError, PreconditionError
+from riskspan.exactlp import LinearConstraint, LinearProgram, LPOutcome, LPStatus
+from riskspan.measure import RandomVariable
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -392,3 +404,71 @@ def in_span(rows: Sequence[Row], vector: Row) -> bool:
         return False
     base = rank(rows)
     return rank(list(rows) + [vector]) == base
+
+
+# ---------------------------------------------------------------------------
+# vertex enumeration and market scans
+
+
+def _feasible(constraints: Sequence[LinearConstraint], point: Sequence[Fraction]) -> bool:
+    for con in constraints:
+        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
+        if con.relation == "=" and lhs != con.rhs:
+            return False
+        if con.relation == "<=" and lhs > con.rhs:
+            return False
+        if con.relation == ">=" and lhs < con.rhs:
+            return False
+    return True
+
+
+def vertex_enumeration(
+    constraints: Sequence[LinearConstraint], dimension: int, bounded: bool = False
+) -> list[tuple[Fraction, ...]]:
+    """Every feasible unique solution of a d-subset of rows, sorted.
+
+    Without ``bounded``, the 2*d coordinate probes first raise on an
+    unbounded region and return [] for an infeasible one.
+    """
+    if not bounded:
+        for j in range(dimension):
+            for sign in (1, -1):
+                objective = [_F0] * dimension
+                objective[j] = Fraction(sign)
+                probe = exactlp.solve(LinearProgram.minimize(objective, tuple(constraints)))
+                if probe.status is LPStatus.UNBOUNDED:
+                    raise PreconditionError("unbounded input region")
+                if probe.status is LPStatus.INFEASIBLE:
+                    return []
+    # Many subsets share a point; each point's feasibility is checked once.
+    feasible: dict[tuple[Fraction, ...], bool] = {}
+    rows = [list(con.coefficients) for con in constraints]
+    for subset in combinations(range(len(constraints)), dimension):
+        sub = [rows[i] for i in subset]
+        if linalg.rank(sub) != dimension:
+            continue
+        point = linalg.solve_exact(sub, [constraints[i].rhs for i in subset])
+        if point is not None and tuple(point) not in feasible:
+            feasible[tuple(point)] = _feasible(constraints, point)
+    return sorted(point for point, ok in feasible.items() if ok)
+
+
+def is_singleton(emm: market.MartingaleMeasureSet) -> bool:
+    """Bounds every atom's mass; the first call raises on an empty set."""
+    for atom in emm.space.atoms:
+        low, high, _m1, _m2 = emm.bounds(RandomVariable.indicator(emm.space, [atom]))
+        if low != high:
+            return False
+    return True
+
+
+def nonsolidity_witness(tree: market.MarketTree) -> Optional[market.Witness]:
+    """The first atom, in atom order, whose mass the EMM bounds split."""
+    market._require_viable(tree)
+    emm = market.emm_set(tree)
+    for atom in tree.space.atoms:
+        indicator = RandomVariable.indicator(tree.space, [atom])
+        low, high, m_low, m_high = emm.bounds(indicator)
+        if low != high:
+            return market.Witness((atom,), indicator, low, high, m_low, m_high)
+    return None

@@ -166,6 +166,14 @@ class TestMarketCommands:
             capsys, "market-complete", "--input", fx("market_trinomial.json")
         )["result"]["complete"]
 
+    def test_complete_market_solves_only_the_viability_lp(self, capsys):
+        # The martingale rows pin every atom's mass: no bounds LP.
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            report = run_json(capsys, "market-complete", "--input", fx("market_binomial.json"))
+        assert report["result"]["complete"] is True
+        assert len(outcomes) == 1
+
     def test_witness_report_revalidates(self, capsys):
         report = run_json(capsys, "market-witness", "--input", fx("market_trinomial.json"))
         witness = report["result"]["witness"]
@@ -237,6 +245,13 @@ class TestErrors:
         bad.write_text("{not json")
         code, _out = run_cli(capsys, "set-gauge", "--input", str(bad), "--point", "1")
         assert code == 2
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"space": {}}')
+        code = main(["set-gauge", "--input", str(bad), "--point", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error: input ")
 
     def test_missing_point_exit_2(self, capsys):
         code, _out = run_cli(capsys, "set-gauge", "--input", fx("body_cross.json"))

@@ -1,6 +1,7 @@
 """Market trees: martingale polytopes, attainability, the non-solid ball."""
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from riskspan import (
     viability,
     viability_certificate,
 )
+import fraction_reference as ref
 from support import (
     binomial_tree,
     no_trading_tree,
@@ -128,6 +130,12 @@ class TestEmmSet:
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)),
         }
+
+    def test_complete_is_singleton_solves_no_lp(self):
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            assert emm_set(two_period_tree()).is_singleton()
+        assert outcomes == []
 
     def test_vertices_solve_no_lp(self):
         # The closure lies in the simplex, so no boundedness probe is needed.
@@ -311,12 +319,13 @@ class TestNonsolidityWitness:
         assert inside
         assert not member(ball, w.indicator)
 
-    def test_complete_tree_costs_viability_plus_two_lps_per_singleton(self):
+    def test_complete_tree_costs_only_the_viability_lp(self):
+        # Every atom's mass is pinned by the martingale rows, so no bounds.
         tree = two_period_tree()
         outcomes: list = []
         with record_outcomes(outcomes):
             assert nonsolidity_witness(tree) is None
-        assert len(outcomes) == 1 + 2 * 4
+        assert len(outcomes) == 1
 
     def test_singleton_scan_against_all_events(self):
         # Brute-force oracle: no event of any size splits exactly when the
@@ -365,3 +374,92 @@ class TestStrategyBasis:
                         assert value == 1
                     else:
                         assert value == 0
+
+
+class TestPinnedAtoms:
+    """Skipping pinned atoms leaves every answer of the full atom scan."""
+
+    @staticmethod
+    def _drifted(tree: MarketTree, rnd: random.Random) -> MarketTree:
+        """The tree with one leaf price moved: often non-viable or empty."""
+        leaf = rnd.choice(tree.space.atoms)
+        nodes = [
+            dataclasses.replace(nd, prices=(nd.prices[0] + 1,) + nd.prices[1:])
+            if nd.node_id == leaf
+            else nd
+            for nd in tree.nodes
+        ]
+        return MarketTree(nodes, dict(zip(tree.space.atoms, tree.space.weights)))
+
+    @staticmethod
+    def _singleton_or_error(is_singleton):
+        try:
+            return is_singleton()
+        except PreconditionError as exc:
+            return str(exc)
+
+    def test_scans_match_the_full_atom_scan(self):
+        rnd = random.Random(8)
+        outcomes = set()
+        for _ in range(120):
+            tree = random_tree(rnd)
+            for candidate in (tree, self._drifted(tree, rnd)):
+                emm = emm_set(candidate)
+                got = self._singleton_or_error(emm.is_singleton)
+                assert got == self._singleton_or_error(lambda: ref.is_singleton(emm))
+                outcomes.add(got)
+                if viability(candidate):
+                    assert nonsolidity_witness(candidate) == ref.nonsolidity_witness(candidate)
+        assert outcomes == {True, False, "empty martingale measure set"}
+
+    def test_nonviable_point_closure_is_a_singleton(self):
+        # Two assets on a trinomial: q_u = 0 and q_v = q_u, so the closure is
+        # the point (0, 0, 1) with two zero masses, and every atom is pinned.
+        tree = MarketTree(
+            [
+                MarketNode("root", None, 0, (Fraction(1), Fraction(1))),
+                MarketNode("u", "root", 1, (Fraction(2), Fraction(2))),
+                MarketNode("v", "root", 1, (Fraction(1), Fraction(0))),
+                MarketNode("w", "root", 1, (Fraction(1), Fraction(1))),
+            ],
+            {"u": Fraction(1, 3), "v": Fraction(1, 3), "w": Fraction(1, 3)},
+        )
+        emm = emm_set(tree)
+        assert not viability(tree)
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            assert emm.is_singleton()
+        assert outcomes == []
+        assert ref.is_singleton(emm)
+        assert emm.vertices() == [(Fraction(0), Fraction(0), Fraction(1))]
+
+    def test_empty_pinned_closure_raises_like_the_full_scan(self):
+        # Both trees have martingale rows of full rank: the first solves to
+        # a negative mass, the second (sum 1 against a move of +1 on every
+        # leaf) has no solution at all.
+        negative = MarketTree(
+            [
+                MarketNode("root", None, 0, (Fraction(1),)),
+                MarketNode("u", "root", 1, (Fraction(2),)),
+                MarketNode("w", "root", 1, (Fraction(3),)),
+            ],
+            {"u": Fraction(1, 2), "w": Fraction(1, 2)},
+        )
+        inconsistent = MarketTree(
+            [
+                MarketNode("root", None, 0, (Fraction(1), Fraction(1))),
+                MarketNode("u", "root", 1, (Fraction(2), Fraction(2))),
+                MarketNode("w", "root", 1, (Fraction(0), Fraction(2))),
+            ],
+            {"u": Fraction(1, 2), "w": Fraction(1, 2)},
+        )
+        for tree in (negative, inconsistent):
+            emm = emm_set(tree)
+            outcomes: list = []
+            with record_outcomes(outcomes):
+                with pytest.raises(PreconditionError) as got:
+                    emm.is_singleton()
+            assert outcomes == []
+            with pytest.raises(PreconditionError) as expected:
+                ref.is_singleton(emm)
+            assert str(got.value) == str(expected.value) == "empty martingale measure set"
