@@ -13,9 +13,14 @@ x - l (the row right-hand sides shift by A.l); only free variables carry a
 negative-part column, and only constraint rows and finite upper bounds become
 tableau rows.  Certificates decompose into one multiplier per constraint plus
 per-variable bound multipliers / reduced costs (lower-bound multipliers of an
-infeasible program are the phase-one reduced costs of the native columns),
-all of which re-validate against the original data by exact arithmetic.
-``solve`` self-checks every certificate before returning.
+infeasible program are the phase-one reduced costs of the native columns).
+
+``solve`` re-verifies every certificate against the original program before
+returning, on integer rows: each constraint row is scaled once to integers
+(A, B) over one positive denominator, and so is each certificate vector, so
+every check is an integer dot product plus a sign or equality test.  The
+check reads only the ``LinearProgram`` and the ``LPOutcome``, never the
+tableau, so it stays independent of the solver.
 
 Statuses:
   * OPTIMAL    -- primal point, value, dual multipliers, reduced costs;
@@ -34,6 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -399,48 +405,90 @@ def _point_from_basis(norm: _Normalized, basis: list[int]) -> tuple[Fraction, ..
     )
 
 
-def _reduced_costs(lp: LinearProgram, user_dual: Sequence[Fraction]) -> list[Fraction]:
-    n = len(lp.objective)
-    reduced = list(lp.objective)
-    for y, con in zip(user_dual, lp.constraints):
-        if y:
-            for j in range(n):
-                if con.coefficients[j]:
-                    reduced[j] -= y * con.coefficients[j]
-    return reduced
-
-
 # ---------------------------------------------------------------------------
-# certificate verification
+# certificate verification (on integer rows; see the module docstring)
+
+# (A, relation, B, denominator): the row A.x rel B, read over the denominator.
+_IntRow = tuple[list[int], str, int, int]
 
 
-def _row_violation(
-    constraints: Sequence[LinearConstraint], point: Sequence[Fraction]
-) -> Optional[str]:
-    """What the first constraint row violated at the point says, or None."""
+def _integer_rows(constraints: Sequence[LinearConstraint]) -> list[_IntRow]:
+    """Each constraint as integers (A, B) over its least positive denominator."""
+    rows = []
     for con in constraints:
-        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
-        if con.relation == "=" and lhs != con.rhs:
-            return "equality row violated"
-        if con.relation == "<=" and lhs > con.rhs:
-            return "<= row violated"
-        if con.relation == ">=" and lhs < con.rhs:
+        ints, den = linalg._scaled((*con.coefficients, con.rhs))
+        rhs = ints.pop()
+        rows.append((ints, con.relation, rhs, den))
+    return rows
+
+
+def _integer_bounds(lp: LinearProgram) -> tuple[list[Optional[int]], list[Optional[int]], int]:
+    """The finite lower and upper bounds as integers over one positive denominator."""
+    ints, den = linalg._scaled([b for b in lp.lower + lp.upper if b is not None])
+    finite = iter(ints)
+    lower = [None if b is None else next(finite) for b in lp.lower]
+    upper = [None if b is None else next(finite) for b in lp.upper]
+    return lower, upper, den
+
+
+def _row_multipliers(
+    rows: Sequence[_IntRow], multipliers: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """Integers Y over one positive D with y_i * (a_i, b_i) = Y_i * (A_i, B_i) / D."""
+    ratios = []
+    for y, (_a, _rel, _b, row_den) in zip(multipliers, rows):
+        num, den = y.as_integer_ratio()
+        ratios.append((num, den * row_den))
+    den = lcm(*[d for _num, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _combination(rows: Sequence[_IntRow], weights: Sequence[int], n: int) -> list[int]:
+    """The integer row combination sum_i weights_i * A_i."""
+    total = [0] * n
+    for w, (a, _rel, _b, _den) in zip(weights, rows):
+        if w:
+            total = [t + w * v for t, v in zip(total, a)]
+    return total
+
+
+def _row_violation(rows: Sequence[_IntRow], point: Sequence[int], den: int) -> Optional[str]:
+    """What the first row violated at ``point / den`` says, or None."""
+    for a, rel, b, _den in rows:
+        lhs = sum(map(mul, a, point))
+        rhs = b * den
+        if rel == "=":
+            if lhs != rhs:
+                return "equality row violated"
+        elif rel == "<=":
+            if lhs > rhs:
+                return "<= row violated"
+        elif lhs < rhs:
             return ">= row violated"
     return None
 
 
-def _check_feasible(lp: LinearProgram, point: Sequence[Fraction]) -> None:
+def _check_feasible(
+    lp: LinearProgram,
+    rows: Sequence[_IntRow],
+    bounds: tuple[list[Optional[int]], list[Optional[int]], int],
+    point: Sequence[Fraction],
+) -> tuple[list[int], int]:
+    """Raise unless the point is feasible; returns it as integers over one denominator."""
     n = len(lp.objective)
     if len(point) != n:
         raise CertificateError("point length differs from variable count")
-    violation = _row_violation(lp.constraints, point)
+    x, den = linalg._scaled(point)
+    violation = _row_violation(rows, x, den)
     if violation is not None:
         raise CertificateError(violation)
+    lower, upper, bden = bounds
     for j in range(n):
-        if lp.lower[j] is not None and point[j] < lp.lower[j]:
+        if lower[j] is not None and x[j] * bden < lower[j] * den:
             raise CertificateError("lower bound violated")
-        if lp.upper[j] is not None and point[j] > lp.upper[j]:
+        if upper[j] is not None and x[j] * bden > upper[j] * den:
             raise CertificateError("upper bound violated")
+    return x, den
 
 
 def verify_optimal(lp: LinearProgram, outcome: LPOutcome) -> None:
@@ -448,33 +496,44 @@ def verify_optimal(lp: LinearProgram, outcome: LPOutcome) -> None:
         raise CertificateError("optimal outcome lacks point/value/dual")
     if outcome.reduced_costs is None:
         raise CertificateError("optimal outcome lacks reduced costs")
-    _check_feasible(lp, outcome.point)
+    rows = _integer_rows(lp.constraints)
+    bounds = _integer_bounds(lp)
+    x, xden = _check_feasible(lp, rows, bounds, outcome.point)
     n = len(lp.objective)
-    value = sum((c * x for c, x in zip(lp.objective, outcome.point)), _F0)
-    if value != outcome.value:
+    c, cden = linalg._scaled(lp.objective)
+    vnum, vden = outcome.value.as_integer_ratio()
+    if sum(map(mul, c, x)) * vden != vnum * cden * xden:
         raise CertificateError("reported value differs from objective at point")
     if len(outcome.dual) != len(lp.constraints):
         raise CertificateError("one dual multiplier per constraint required")
-    for y, con in zip(outcome.dual, lp.constraints):
-        if con.relation == ">=" and y < 0:
+    y, yden = _row_multipliers(rows, outcome.dual)
+    for yi, (_a, rel, _b, _den) in zip(y, rows):
+        if rel == ">=" and yi < 0:
             raise CertificateError("dual sign for >= row")
-        if con.relation == "<=" and y > 0:
+        if rel == "<=" and yi > 0:
             raise CertificateError("dual sign for <= row")
-    expected_reduced = _reduced_costs(lp, outcome.dual)
-    if list(outcome.reduced_costs) != expected_reduced:
-        raise CertificateError("reduced costs do not match dual multipliers")
-    dual_value = sum((y * con.rhs for y, con in zip(outcome.dual, lp.constraints)), _F0)
+    if len(outcome.reduced_costs) != n:
+        raise CertificateError("reduced-cost length differs from variable count")
+    # r = c - y.A reads R/rden = C/cden - S/yden with S = sum_i Y_i A_i.
+    r, rden = linalg._scaled(outcome.reduced_costs)
+    at_r, at_c, at_s = cden * yden, rden * yden, rden * cden
+    for rj, cj, sj in zip(r, c, _combination(rows, y, n)):
+        if rj * at_r != cj * at_c - sj * at_s:
+            raise CertificateError("reduced costs do not match dual multipliers")
+    lower, upper, bden = bounds
+    at_bounds = 0
     for j in range(n):
-        r = outcome.reduced_costs[j]
-        if r > 0:
-            if lp.lower[j] is None:
+        if r[j] > 0:
+            if lower[j] is None:
                 raise CertificateError("positive reduced cost on a variable without lower bound")
-            dual_value += r * lp.lower[j]
-        elif r < 0:
-            if lp.upper[j] is None:
+            at_bounds += r[j] * lower[j]
+        elif r[j] < 0:
+            if upper[j] is None:
                 raise CertificateError("negative reduced cost on a variable without upper bound")
-            dual_value += r * lp.upper[j]
-    if dual_value != outcome.value:
+            at_bounds += r[j] * upper[j]
+    # y.b + r.bounds = Y.B / yden + at_bounds / (rden * bden), against vnum / vden.
+    yb = sum(yi * b for yi, (_a, _rel, b, _den) in zip(y, rows))
+    if (yb * rden * bden + at_bounds * yden) * vden != vnum * yden * rden * bden:
         raise CertificateError("dual objective does not match primal value")
 
 
@@ -484,58 +543,63 @@ def verify_infeasible(lp: LinearProgram, outcome: LPOutcome) -> None:
     n = len(lp.objective)
     if len(outcome.farkas) != len(lp.constraints):
         raise CertificateError("one Farkas multiplier per constraint required")
-    for y, con in zip(outcome.farkas, lp.constraints):
-        if con.relation == ">=" and y < 0:
+    if len(outcome.farkas_lower) != n or len(outcome.farkas_upper) != n:
+        raise CertificateError("Farkas bound multiplier length differs from variable count")
+    rows = _integer_rows(lp.constraints)
+    y, yden = _row_multipliers(rows, outcome.farkas)
+    for yi, (_a, rel, _b, _den) in zip(y, rows):
+        if rel == ">=" and yi < 0:
             raise CertificateError("Farkas sign for >= row")
-        if con.relation == "<=" and y > 0:
+        if rel == "<=" and yi > 0:
             raise CertificateError("Farkas sign for <= row")
-    total = _F0
+    # Both bound multiplier vectors over one denominator mden.
+    multipliers, mden = linalg._scaled((*outcome.farkas_lower, *outcome.farkas_upper))
+    ylo, yup = multipliers[:n], multipliers[n:]
+    lower, upper, bden = _integer_bounds(lp)
+    combined = _combination(rows, y, n)
     for j in range(n):
-        ylo = outcome.farkas_lower[j]
-        yup = outcome.farkas_upper[j]
-        if ylo < 0 or (lp.lower[j] is None and ylo != 0):
+        if ylo[j] < 0 or (lower[j] is None and ylo[j]):
             raise CertificateError("Farkas lower-bound multiplier invalid")
-        if yup > 0 or (lp.upper[j] is None and yup != 0):
+        if yup[j] > 0 or (upper[j] is None and yup[j]):
             raise CertificateError("Farkas upper-bound multiplier invalid")
-        combined = ylo + yup
-        for y, con in zip(outcome.farkas, lp.constraints):
-            if y and con.coefficients[j]:
-                combined += y * con.coefficients[j]
-        if combined != 0:
+        if (ylo[j] + yup[j]) * yden + combined[j] * mden:
             raise CertificateError("Farkas combination is not the zero functional")
-    total = sum((y * con.rhs for y, con in zip(outcome.farkas, lp.constraints)), _F0)
+    at_bounds = 0
     for j in range(n):
-        if outcome.farkas_lower[j]:
-            total += outcome.farkas_lower[j] * lp.lower[j]
-        if outcome.farkas_upper[j]:
-            total += outcome.farkas_upper[j] * lp.upper[j]
-    if total <= 0:
+        if ylo[j]:
+            at_bounds += ylo[j] * lower[j]
+        if yup[j]:
+            at_bounds += yup[j] * upper[j]
+    # y.b + bound terms = Y.B / yden + at_bounds / (mden * bden) > 0.
+    yb = sum(yi * b for yi, (_a, _rel, b, _den) in zip(y, rows))
+    if yb * mden * bden + at_bounds * yden <= 0:
         raise CertificateError("Farkas value is not positive")
 
 
 def verify_unbounded(lp: LinearProgram, outcome: LPOutcome) -> None:
     if outcome.point is None or outcome.ray is None:
         raise CertificateError("unbounded outcome lacks point/ray")
-    _check_feasible(lp, outcome.point)
+    rows = _integer_rows(lp.constraints)
+    _check_feasible(lp, rows, _integer_bounds(lp), outcome.point)
     n = len(lp.objective)
-    ray = outcome.ray
-    if len(ray) != n:
+    if len(outcome.ray) != n:
         raise CertificateError("ray length differs from variable count")
-    for con in lp.constraints:
-        drift = sum((c * d for c, d in zip(con.coefficients, ray)), _F0)
-        if con.relation == "=" and drift != 0:
+    # Only signs are tested, so the ray's denominator never enters.
+    ray = linalg._scaled(outcome.ray)[0]
+    for a, rel, _b, _den in rows:
+        drift = sum(map(mul, a, ray))
+        if rel == "=" and drift != 0:
             raise CertificateError("ray leaves an equality row")
-        if con.relation == "<=" and drift > 0:
+        if rel == "<=" and drift > 0:
             raise CertificateError("ray increases a <= row")
-        if con.relation == ">=" and drift < 0:
+        if rel == ">=" and drift < 0:
             raise CertificateError("ray decreases a >= row")
     for j in range(n):
         if lp.lower[j] is not None and ray[j] < 0:
             raise CertificateError("ray dives below a lower bound")
         if lp.upper[j] is not None and ray[j] > 0:
             raise CertificateError("ray climbs above an upper bound")
-    gain = sum((c * d for c, d in zip(lp.objective, ray)), _F0)
-    if gain >= 0:
+    if sum(map(mul, linalg._scaled(lp.objective)[0], ray)) >= 0:
         raise CertificateError("ray does not improve the objective")
 
 
@@ -552,9 +616,8 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
 # vertex enumeration
 
 
-def _direction(coefficients: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
-    """The primitive integer direction of a row up to sign; None for a zero row."""
-    ints = linalg._scaled(coefficients)[0]
+def _direction(ints: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The primitive direction of an integer row up to sign; None for a zero row."""
     g = gcd(*ints)
     if g == 0:
         return None
@@ -573,9 +636,10 @@ def vertex_enumeration(
     dependent, so a basis takes at most one row from each parallel class
     (rows with one primitive direction up to sign), and zero rows none; each
     candidate is solved by one exact elimination and kept when its unique
-    solution is feasible.  Intended for d <= 8 (the documented scalability
-    boundary).  Raises PreconditionError when the region is unbounded; an
-    infeasible region has no vertices.
+    solution satisfies the integer rows, which are scaled once per call.
+    Intended for d <= 8 (the documented scalability boundary).  Raises
+    PreconditionError when the region is unbounded; an infeasible region has
+    no vertices.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
@@ -601,12 +665,13 @@ def vertex_enumeration(
                 if probe.status is LPStatus.INFEASIBLE:
                     return []
 
+    rows = _integer_rows(constraints)
     eq_rows = [list(con.coefficients) for con in constraints if con.relation == "="]
     eq_rhs = [con.rhs for con in constraints if con.relation == "="]
     classes: dict[tuple[int, ...], list[LinearConstraint]] = {}
-    for con in constraints:
-        if con.relation != "=":
-            key = _direction(con.coefficients)
+    for con, (a, rel, _b, _den) in zip(constraints, rows):
+        if rel != "=":
+            key = _direction(a)
             if key is not None:
                 classes.setdefault(key, []).append(con)
 
@@ -617,6 +682,6 @@ def vertex_enumeration(
                 eq_rows + [list(con.coefficients) for con in picks],
                 eq_rhs + [con.rhs for con in picks],
             )
-            if point is not None and _row_violation(constraints, point) is None:
+            if point is not None and _row_violation(rows, *linalg._scaled(point)) is None:
                 vertices.add(tuple(point))
     return sorted(vertices)

@@ -175,10 +175,11 @@ class MartingaleMeasureSet:
         span of the constraints: its mass is then constant on {Aq = b}, so
         constant on the closure, viable market or not.
         """
-        rows = [con.coefficients for con in self.lp_constraints()]
+        # One echelon form of the rows; each indicator is reduced against it.
+        kept = linalg._echelon([con.coefficients for con in self.lp_constraints()])
         for atom in self.space.atoms:
             indicator = RandomVariable.indicator(self.space, [atom])
-            if not linalg.in_span(rows, indicator.values):
+            if any(linalg._reduce(kept, linalg._scaled(indicator.values)[0])):
                 yield atom, indicator
 
     def is_singleton(self) -> bool:

@@ -6,13 +6,22 @@ denominator each; ``rank``, ``independent_rows``, ``solve_exact`` and
 ``in_span`` are the three Fraction Gaussian eliminations ``riskspan.linalg``
 ran before it shared one fraction-free kernel.  Bland's rule sees the same
 exact values either way, so the library must return equal results, field
-for field, on every input.  Nothing here verifies certificates.
+for field, on every input.  ``solve`` does not verify its certificates.
+
+``verify_outcome`` and the three ``verify_*`` it dispatches to are the
+certificate gate over ``Fraction`` dot products that ``riskspan.exactlp`` ran
+before it checked certificates on integer rows.  On every certificate, intact
+or tampered, the library must accept exactly when this gate accepts, and
+raise the same ``CertificateError`` message.  The one exception is a
+certificate vector of the wrong length: this gate may then raise
+``IndexError`` or accept, where the library raises ``CertificateError``.
 
 ``vertex_enumeration`` is the brute force over every d-subset of rows that
 ``riskspan.exactlp`` ran before candidate bases were drawn from equality
 rank and parallel classes.  Like it, it probes with ``riskspan.exactlp.solve``
 and checks each subset with ``riskspan.linalg.rank`` and ``solve_exact``,
-the integer kernels that the Fraction engine above cross-checks.
+the integer kernels that the Fraction engine above cross-checks, and each
+point with the Fraction ``_row_violation`` of the gate above.
 ``is_singleton`` and ``nonsolidity_witness`` are the market scans that
 bounded every atom's mass before pinned atoms were skipped.  The library
 must return identical results.
@@ -316,6 +325,144 @@ def _reduced_costs(lp: LinearProgram, user_dual: Sequence[Fraction]) -> list[Fra
 
 
 # ---------------------------------------------------------------------------
+# certificate verification
+
+
+def _row_violation(
+    constraints: Sequence[LinearConstraint], point: Sequence[Fraction]
+) -> Optional[str]:
+    """What the first constraint row violated at the point says, or None."""
+    for con in constraints:
+        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
+        if con.relation == "=" and lhs != con.rhs:
+            return "equality row violated"
+        if con.relation == "<=" and lhs > con.rhs:
+            return "<= row violated"
+        if con.relation == ">=" and lhs < con.rhs:
+            return ">= row violated"
+    return None
+
+
+def _check_feasible(lp: LinearProgram, point: Sequence[Fraction]) -> None:
+    n = len(lp.objective)
+    if len(point) != n:
+        raise CertificateError("point length differs from variable count")
+    violation = _row_violation(lp.constraints, point)
+    if violation is not None:
+        raise CertificateError(violation)
+    for j in range(n):
+        if lp.lower[j] is not None and point[j] < lp.lower[j]:
+            raise CertificateError("lower bound violated")
+        if lp.upper[j] is not None and point[j] > lp.upper[j]:
+            raise CertificateError("upper bound violated")
+
+
+def verify_optimal(lp: LinearProgram, outcome: LPOutcome) -> None:
+    if outcome.point is None or outcome.value is None or outcome.dual is None:
+        raise CertificateError("optimal outcome lacks point/value/dual")
+    if outcome.reduced_costs is None:
+        raise CertificateError("optimal outcome lacks reduced costs")
+    _check_feasible(lp, outcome.point)
+    n = len(lp.objective)
+    value = sum((c * x for c, x in zip(lp.objective, outcome.point)), _F0)
+    if value != outcome.value:
+        raise CertificateError("reported value differs from objective at point")
+    if len(outcome.dual) != len(lp.constraints):
+        raise CertificateError("one dual multiplier per constraint required")
+    for y, con in zip(outcome.dual, lp.constraints):
+        if con.relation == ">=" and y < 0:
+            raise CertificateError("dual sign for >= row")
+        if con.relation == "<=" and y > 0:
+            raise CertificateError("dual sign for <= row")
+    expected_reduced = _reduced_costs(lp, outcome.dual)
+    if list(outcome.reduced_costs) != expected_reduced:
+        raise CertificateError("reduced costs do not match dual multipliers")
+    dual_value = sum((y * con.rhs for y, con in zip(outcome.dual, lp.constraints)), _F0)
+    for j in range(n):
+        r = outcome.reduced_costs[j]
+        if r > 0:
+            if lp.lower[j] is None:
+                raise CertificateError("positive reduced cost on a variable without lower bound")
+            dual_value += r * lp.lower[j]
+        elif r < 0:
+            if lp.upper[j] is None:
+                raise CertificateError("negative reduced cost on a variable without upper bound")
+            dual_value += r * lp.upper[j]
+    if dual_value != outcome.value:
+        raise CertificateError("dual objective does not match primal value")
+
+
+def verify_infeasible(lp: LinearProgram, outcome: LPOutcome) -> None:
+    if outcome.farkas is None or outcome.farkas_lower is None or outcome.farkas_upper is None:
+        raise CertificateError("infeasible outcome lacks Farkas multipliers")
+    n = len(lp.objective)
+    if len(outcome.farkas) != len(lp.constraints):
+        raise CertificateError("one Farkas multiplier per constraint required")
+    for y, con in zip(outcome.farkas, lp.constraints):
+        if con.relation == ">=" and y < 0:
+            raise CertificateError("Farkas sign for >= row")
+        if con.relation == "<=" and y > 0:
+            raise CertificateError("Farkas sign for <= row")
+    total = _F0
+    for j in range(n):
+        ylo = outcome.farkas_lower[j]
+        yup = outcome.farkas_upper[j]
+        if ylo < 0 or (lp.lower[j] is None and ylo != 0):
+            raise CertificateError("Farkas lower-bound multiplier invalid")
+        if yup > 0 or (lp.upper[j] is None and yup != 0):
+            raise CertificateError("Farkas upper-bound multiplier invalid")
+        combined = ylo + yup
+        for y, con in zip(outcome.farkas, lp.constraints):
+            if y and con.coefficients[j]:
+                combined += y * con.coefficients[j]
+        if combined != 0:
+            raise CertificateError("Farkas combination is not the zero functional")
+    total = sum((y * con.rhs for y, con in zip(outcome.farkas, lp.constraints)), _F0)
+    for j in range(n):
+        if outcome.farkas_lower[j]:
+            total += outcome.farkas_lower[j] * lp.lower[j]
+        if outcome.farkas_upper[j]:
+            total += outcome.farkas_upper[j] * lp.upper[j]
+    if total <= 0:
+        raise CertificateError("Farkas value is not positive")
+
+
+def verify_unbounded(lp: LinearProgram, outcome: LPOutcome) -> None:
+    if outcome.point is None or outcome.ray is None:
+        raise CertificateError("unbounded outcome lacks point/ray")
+    _check_feasible(lp, outcome.point)
+    n = len(lp.objective)
+    ray = outcome.ray
+    if len(ray) != n:
+        raise CertificateError("ray length differs from variable count")
+    for con in lp.constraints:
+        drift = sum((c * d for c, d in zip(con.coefficients, ray)), _F0)
+        if con.relation == "=" and drift != 0:
+            raise CertificateError("ray leaves an equality row")
+        if con.relation == "<=" and drift > 0:
+            raise CertificateError("ray increases a <= row")
+        if con.relation == ">=" and drift < 0:
+            raise CertificateError("ray decreases a >= row")
+    for j in range(n):
+        if lp.lower[j] is not None and ray[j] < 0:
+            raise CertificateError("ray dives below a lower bound")
+        if lp.upper[j] is not None and ray[j] > 0:
+            raise CertificateError("ray climbs above an upper bound")
+    gain = sum((c * d for c, d in zip(lp.objective, ray)), _F0)
+    if gain >= 0:
+        raise CertificateError("ray does not improve the objective")
+
+
+def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
+    if outcome.status is LPStatus.OPTIMAL:
+        verify_optimal(lp, outcome)
+    elif outcome.status is LPStatus.INFEASIBLE:
+        verify_infeasible(lp, outcome)
+    else:
+        verify_unbounded(lp, outcome)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian eliminations
 
 
@@ -410,18 +557,6 @@ def in_span(rows: Sequence[Row], vector: Row) -> bool:
 # vertex enumeration and market scans
 
 
-def _feasible(constraints: Sequence[LinearConstraint], point: Sequence[Fraction]) -> bool:
-    for con in constraints:
-        lhs = sum((c * x for c, x in zip(con.coefficients, point)), _F0)
-        if con.relation == "=" and lhs != con.rhs:
-            return False
-        if con.relation == "<=" and lhs > con.rhs:
-            return False
-        if con.relation == ">=" and lhs < con.rhs:
-            return False
-    return True
-
-
 def vertex_enumeration(
     constraints: Sequence[LinearConstraint], dimension: int, bounded: bool = False
 ) -> list[tuple[Fraction, ...]]:
@@ -449,7 +584,7 @@ def vertex_enumeration(
             continue
         point = linalg.solve_exact(sub, [constraints[i].rhs for i in subset])
         if point is not None and tuple(point) not in feasible:
-            feasible[tuple(point)] = _feasible(constraints, point)
+            feasible[tuple(point)] = _row_violation(constraints, point) is None
     return sorted(point for point, ok in feasible.items() if ok)
 
 

@@ -1,20 +1,26 @@
 """The library vs the earlier implementations in ``fraction_reference``.
 
 The simplex must take the same pivots and return an equal ``LPOutcome``,
-field for field; the eliminations must return equal ranks, row subsets,
-solutions and span answers; vertex enumeration must return the same sorted
-vertices as the brute force over every d-subset of rows.
+field for field; the certificate gate must accept and reject the same intact
+and tampered certificates as the Fraction gate, with the same message; the
+eliminations must return equal ranks, row subsets, solutions and span
+answers; vertex enumeration must return the same sorted vertices as the
+brute force over every d-subset of rows.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from typing import Iterator, Optional
 
 import pytest
 
 from riskspan import (
+    CertificateError,
     LinearConstraint,
     LinearProgram,
+    LPOutcome,
     LPStatus,
     PreconditionError,
     attainable,
@@ -26,6 +32,7 @@ from riskspan import (
     record_outcomes,
     solid_hull_member,
     solve,
+    verify_outcome,
     vertex_enumeration,
 )
 
@@ -106,27 +113,181 @@ def test_tied_ratios_free_variables_and_upper_bounds():
     _assert_same(LinearProgram.minimize([1], (), lower=[2], upper=[1]))
 
 
-def test_library_programs_match_the_reference():
-    # Every LP that gauges, polars, solid-hull tests and market questions
-    # solve on small random instances.
-    rnd = random.Random(608)
+def _library_programs(rnd: random.Random, instances: int) -> list:
+    """Every (lp, outcome) that gauges, polars, solid-hull tests and market
+    questions solve on small random instances."""
     recorded: list = []
     with record_outcomes(recorded):
-        for _ in range(6):
+        for _ in range(instances):
             space = random_space(rnd, rnd.randint(2, 4))
             body = random_body(rnd, space, rnd.randint(1, 4))
             x = random_rv(rnd, space)
             gauge(body, x)
             polar_gauge(body, x)
             solid_hull_member(body, x)
-        for _ in range(6):
+        for _ in range(instances):
             tree = random_tree(rnd)
             nonsolidity_witness(tree)
             emm_set(tree).bounds(random_rv(rnd, tree.space))
             attainable(tree, random_rv(rnd, tree.space))
+    return recorded
+
+
+def test_library_programs_match_the_reference():
+    recorded = _library_programs(random.Random(608), 6)
     assert len(recorded) > 50
     for lp, outcome in recorded:
         assert outcome == ref.solve(lp)
+
+
+# ---------------------------------------------------------------------------
+# certificate gate
+
+_VECTORS = ("point", "dual", "reduced_costs", "farkas", "farkas_lower", "farkas_upper", "ray")
+
+# Every message the gate raises on certificate vectors of the right length.
+_REJECTIONS = {
+    "optimal outcome lacks point/value/dual",
+    "optimal outcome lacks reduced costs",
+    "equality row violated",
+    "<= row violated",
+    ">= row violated",
+    "lower bound violated",
+    "upper bound violated",
+    "reported value differs from objective at point",
+    "dual sign for >= row",
+    "dual sign for <= row",
+    "reduced costs do not match dual multipliers",
+    "positive reduced cost on a variable without lower bound",
+    "negative reduced cost on a variable without upper bound",
+    "dual objective does not match primal value",
+    "infeasible outcome lacks Farkas multipliers",
+    "Farkas sign for >= row",
+    "Farkas sign for <= row",
+    "Farkas lower-bound multiplier invalid",
+    "Farkas upper-bound multiplier invalid",
+    "Farkas combination is not the zero functional",
+    "Farkas value is not positive",
+    "unbounded outcome lacks point/ray",
+    "ray leaves an equality row",
+    "ray increases a <= row",
+    "ray decreases a >= row",
+    "ray dives below a lower bound",
+    "ray climbs above an upper bound",
+    "ray does not improve the objective",
+}
+
+
+def _moved(value: Fraction) -> tuple:
+    return (value + 1, value - 1, value + Fraction(1, 7), -value)
+
+
+def _tamperings(lp: LinearProgram, outcome: LPOutcome) -> Iterator[LPOutcome]:
+    """The outcome, then each entry of each certificate vector moved by +-1
+    and by 1/7 and sign-flipped, the value moved the same ways, the ray
+    zeroed, each certificate field dropped and the status swapped.
+
+    A moved row multiplier is also re-closed: the reduced costs, or the
+    Farkas bound multipliers, are recomputed from it, so that the checks
+    after the combination (bound signs, dual objective, Farkas value) see
+    tampered data as well.
+    """
+    yield outcome
+    for name in ("dual", "farkas"):
+        vector = getattr(outcome, name)
+        for k, entry in enumerate(vector or ()):
+            for new in _moved(entry):
+                moved = vector[:k] + (new,) + vector[k + 1 :]
+                # c - y.A; for Farkas multipliers c = 0 and the bound part
+                # -y.A is split into its positive and negative entries.
+                rest = ref._reduced_costs(
+                    replace(lp, objective=(Fraction(0),) * len(lp.objective))
+                    if name == "farkas"
+                    else lp,
+                    moved,
+                )
+                if name == "dual":
+                    yield replace(outcome, dual=moved, reduced_costs=tuple(rest))
+                else:
+                    yield replace(
+                        outcome,
+                        farkas=moved,
+                        farkas_lower=tuple(max(r, 0) for r in rest),
+                        farkas_upper=tuple(min(r, 0) for r in rest),
+                    )
+    for name in _VECTORS:
+        vector = getattr(outcome, name)
+        for k, entry in enumerate(vector or ()):
+            for new in _moved(entry):
+                yield replace(outcome, **{name: vector[:k] + (new,) + vector[k + 1 :]})
+    if outcome.value is not None:
+        for new in _moved(outcome.value):
+            yield replace(outcome, value=new)
+    if outcome.ray is not None:
+        yield replace(outcome, ray=tuple(Fraction(0) for _ in outcome.ray))
+    for name in ("value",) + _VECTORS:
+        if getattr(outcome, name) is not None:
+            yield replace(outcome, **{name: None})
+    for status in LPStatus:
+        if status is not outcome.status:
+            yield replace(outcome, status=status)
+
+
+def _verdict(verify, lp: LinearProgram, outcome: LPOutcome) -> Optional[str]:
+    """None when the certificate is accepted, else the rejection message."""
+    try:
+        verify(lp, outcome)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_gates_agree(pairs, verdicts: Counter) -> None:
+    for lp, outcome in pairs:
+        assert _verdict(verify_outcome, lp, outcome) is None
+        for tampered in _tamperings(lp, outcome):
+            got = _verdict(verify_outcome, lp, tampered)
+            assert got == _verdict(ref.verify_outcome, lp, tampered), (lp, tampered)
+            verdicts[got] += 1
+
+
+def test_gate_matches_the_fraction_gate_on_random_programs():
+    rnd = random.Random(612)
+    pairs = [(lp, solve(lp)) for lp in (_random_lp(rnd) for _ in range(300))]
+    assert {out.status for _lp, out in pairs} == set(LPStatus)
+    verdicts: Counter = Counter()
+    _assert_gates_agree(pairs, verdicts)
+    # Some tampered certificates are still valid (a re-closed multiplier on
+    # a slack row, say); the others are rejected at every check of all
+    # three verifiers.
+    assert verdicts[None] > len(pairs)
+    assert set(verdicts) == _REJECTIONS | {None}, verdicts
+
+
+def test_gate_matches_the_fraction_gate_on_library_programs():
+    pairs = _library_programs(random.Random(613), 6)
+    assert len(pairs) > 20
+    verdicts: Counter = Counter()
+    _assert_gates_agree(pairs, verdicts)
+    assert len(verdicts) >= 15, verdicts
+
+
+def test_gate_rejects_certificate_vectors_of_the_wrong_length():
+    # Tested apart: the Fraction gate raises IndexError or accepts here.
+    rnd = random.Random(614)
+    pairs = [(lp, solve(lp)) for lp in (_random_lp(rnd) for _ in range(60))]
+    assert {out.status for _lp, out in pairs} == set(LPStatus)
+    for lp, outcome in pairs:
+        for name in _VECTORS:
+            vector = getattr(outcome, name)
+            if vector is None:
+                continue
+            wrong_lengths = [vector + (Fraction(0),), vector + (Fraction(1),)]
+            if vector:
+                wrong_lengths.append(vector[:-1])
+            for wrong in wrong_lengths:
+                with pytest.raises(CertificateError, match="length differs|per constraint"):
+                    verify_outcome(lp, replace(outcome, **{name: wrong}))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +366,9 @@ def test_unique_solution_matches_rank_and_solve_exact():
     assert min(seen.values()) >= 40, seen
 
 
-def _random_region(rnd: random.Random, d: int, bounded: bool) -> tuple[list, set]:
+def _random_region(
+    rnd: random.Random, d: int, bounded: bool, dens: tuple = (1, 1, 2, 3)
+) -> tuple[list, set]:
     """A random H-region in dimension d and the features it was built with.
 
     A random point x0 satisfies most rows, so many regions are nonempty; a
@@ -216,7 +379,7 @@ def _random_region(rnd: random.Random, d: int, bounded: bool) -> tuple[list, set
     """
 
     def frac(lo=-3, hi=3):
-        return Fraction(rnd.randint(lo, hi), rnd.choice((1, 1, 2, 3)))
+        return Fraction(rnd.randint(lo, hi), rnd.choice(dens))
 
     x0 = [frac(-2, 2) for _ in range(d)]
 
@@ -306,3 +469,22 @@ def test_vertex_enumeration_matches_the_subset_brute_force():
             else:
                 assert vertex_enumeration(rows, d) == expected
     assert min(seen.values()) >= 20 and len(seen) == 9, seen
+
+
+def test_vertex_enumeration_on_rows_with_mixed_denominators():
+    # Entries over several denominators within one row and rational
+    # right-hand sides, so every row's integer scaling and every candidate
+    # point's denominator enter the feasibility check.
+    rnd = random.Random(615)
+    seen: Counter = Counter()
+    for trial in range(200):
+        d = rnd.choice((2, 3, 3, 4))
+        rows, _features = _random_region(rnd, d, trial % 4 != 0, dens=(1, 2, 3, 5, 7, 12))
+        got = vertex_enumeration(rows, d, _bounded=True)
+        assert got == ref.vertex_enumeration(rows, d, bounded=True)
+        seen["mixed rows"] += any(
+            len({c.denominator for c in con.coefficients}) > 2 for con in rows
+        )
+        seen["rational rhs"] += any(con.rhs.denominator > 1 for con in rows)
+        seen["fractional vertex"] += any(v.denominator > 1 for point in got for v in point)
+    assert min(seen.values()) >= 50, seen

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,38 @@ def test_tampered_certificates_are_rejected():
     )
     with pytest.raises(CertificateError):
         verify_infeasible(lp2, bad_farkas)
+
+
+class TestCertificateLengths:
+    """A certificate vector whose length is not the variable count is rejected."""
+
+    @staticmethod
+    def _assert_rejected(lp, out, fields):
+        for name in fields:
+            vector = getattr(out, name)
+            for wrong in (vector + (Fraction(0),), vector[:-1]):
+                with pytest.raises(CertificateError, match="length differs from variable count"):
+                    verify_outcome(lp, replace(out, **{name: wrong}))
+
+    def test_optimal(self):
+        lp = LinearProgram.minimize([1, 1], (LinearConstraint.of([1, 2], ">=", 3),), lower=[0, 0])
+        out = solve(lp)
+        assert out.status is LPStatus.OPTIMAL
+        self._assert_rejected(lp, out, ("point", "reduced_costs"))
+
+    def test_infeasible(self):
+        # A trailing zero on either bound-multiplier vector used to be accepted,
+        # and a short one raised IndexError.
+        lp = LinearProgram.minimize([0, 0], (LinearConstraint.of([1, 1], "<=", -1),), lower=[0, 0])
+        out = solve(lp)
+        assert out.status is LPStatus.INFEASIBLE
+        self._assert_rejected(lp, out, ("farkas_lower", "farkas_upper"))
+
+    def test_unbounded(self):
+        lp = LinearProgram.minimize([-1, 0], (LinearConstraint.of([1, -1], "<=", 1),), lower=[0, 0])
+        out = solve(lp)
+        assert out.status is LPStatus.UNBOUNDED
+        self._assert_rejected(lp, out, ("point", "ray"))
 
 
 class TestVertexEnumeration:
