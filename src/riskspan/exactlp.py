@@ -626,8 +626,25 @@ def _direction(ints: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(v // g for v in ints)
 
 
+def _recession_free(eq_rows: list, sides: dict[tuple[int, ...], int], dimension: int) -> bool:
+    """Whether the rows prove that no direction but 0 recedes; False proves nothing.
+
+    ``sides`` maps each inequality class direction p to 0 when its rows bound
+    p.y from both sides along every recession direction y, else to the sign s
+    with s * p.y >= 0.  If the s * p sum into the span of the equality rows
+    and the two-sided p, each s * p.y is 0, so y is orthogonal to every row
+    and is 0 at rank d (Schrijver, Theory of Linear and Integer Programming).
+    """
+    closed = [*eq_rows, *(p for p, side in sides.items() if not side)]
+    kept = linalg._echelon(closed + [p for p, side in sides.items() if side])
+    total = [sum(side * p[j] for p, side in sides.items()) for j in range(dimension)]
+    return len(kept) == dimension and not any(
+        linalg._reduce([k for k in kept if k[0] < len(closed)], total)
+    )
+
+
 def vertex_enumeration(
-    constraints: Sequence[LinearConstraint], dimension: int, *, _bounded: bool = False
+    constraints: Sequence[LinearConstraint], dimension: int
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded H-polytope by enumeration of candidate bases.
 
@@ -637,9 +654,10 @@ def vertex_enumeration(
     (rows with one primitive direction up to sign), and zero rows none; each
     candidate is solved by one exact elimination and kept when its unique
     solution satisfies the integer rows, which are scaled once per call.
-    Intended for d <= 8 (the documented scalability boundary).  Raises
-    PreconditionError when the region is unbounded; an infeasible region has
-    no vertices.
+    Intended for d <= 8 (the documented scalability boundary).  Solves no LP
+    when the classes prove the region bounded (``_recession_free``); else 2*d
+    coordinate probes raise PreconditionError on an unbounded region and
+    return [] on an infeasible one.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
@@ -651,29 +669,28 @@ def vertex_enumeration(
         if len(con.coefficients) != dimension:
             raise ValidationError("constraint row length differs from dimension")
 
-    # ``_bounded`` is for in-package callers whose region is bounded by
-    # construction; it skips the 2*d probes, since a bounded region is empty
-    # exactly when no basis yields a feasible point.
-    if not _bounded:
-        for j in range(dimension):
-            for sign in (1, -1):
-                objective = [_F0] * dimension
-                objective[j] = Fraction(sign)
-                probe = solve(LinearProgram.minimize(objective, tuple(constraints)))
-                if probe.status is LPStatus.UNBOUNDED:
-                    raise PreconditionError("unbounded input region")
-                if probe.status is LPStatus.INFEASIBLE:
-                    return []
-
     rows = _integer_rows(constraints)
     eq_rows = [list(con.coefficients) for con in constraints if con.relation == "="]
     eq_rhs = [con.rhs for con in constraints if con.relation == "="]
     classes: dict[tuple[int, ...], list[LinearConstraint]] = {}
+    sides: dict[tuple[int, ...], int] = {}
     for con, (a, rel, _b, _den) in zip(constraints, rows):
         if rel != "=":
             key = _direction(a)
             if key is not None:
                 classes.setdefault(key, []).append(con)
+                # a = k * key: the row bounds key.y from below iff k > 0 agrees with ">=".
+                side = 1 if (next(v for v in a if v) > 0) == (rel == ">=") else -1
+                sides[key] = side if sides.get(key, side) == side else 0
+
+    if not _recession_free(eq_rows, sides, dimension):
+        for j, sign in product(range(dimension), (1, -1)):
+            objective = [Fraction(sign) if i == j else _F0 for i in range(dimension)]
+            probe = solve(LinearProgram.minimize(objective, tuple(constraints)))
+            if probe.status is LPStatus.UNBOUNDED:
+                raise PreconditionError("unbounded input region")
+            if probe.status is LPStatus.INFEASIBLE:
+                return []
 
     vertices: set[tuple[Fraction, ...]] = set()
     for chosen in combinations(classes.values(), dimension - linalg.rank(eq_rows)):

@@ -206,16 +206,14 @@ class MartingaleMeasureSet:
     def vertices(self) -> list[tuple[Fraction, ...]]:
         """The extreme measures of the closure, sorted; empty iff it is empty.
 
-        The closure lies in the simplex, so it is bounded by construction and
-        its vertices need no boundedness or emptiness LP.
+        The nonnegativity rows sum to the row of ones, so ``vertex_enumeration``
+        proves the closure bounded from its rows and solves no LP.
         """
-        n = self.space.size
         rows = self.lp_constraints()
-        for i in range(n):
-            unit = [_F0] * n
-            unit[i] = _F1
-            rows.append(LinearConstraint(tuple(unit), ">=", _F0))
-        return vertex_enumeration(rows, n, _bounded=True)
+        for atom in self.space.atoms:
+            unit = RandomVariable.indicator(self.space, [atom]).values
+            rows.append(LinearConstraint(unit, ">=", _F0))
+        return vertex_enumeration(rows, self.space.size)
 
     def affine_dimension(self) -> int:
         points = self.vertices()
@@ -378,8 +376,9 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
     Intersects span(strategy gains + constant) with the unit box in span
     coordinates and converts to generators by vertex enumeration; raises
     when the span dimension exceeds the enumeration cap.  The box pulls back
-    through an independent basis, so the region is bounded and nonempty (it
-    holds 0) and its vertices need no LP.
+    through an independent basis, so every row class is an anti-parallel
+    pair and ``vertex_enumeration`` proves the region bounded without an LP;
+    it is nonempty, since it holds 0.
     """
     _require_viable(tree)
     basis_rows = [list(e.values) for e in strategy_basis(tree).elements]
@@ -390,26 +389,22 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
         raise PreconditionError(
             f"span dimension {dim} exceeds the vertex-enumeration cap {VERTEX_DIMENSION_CAP}"
         )
-    n = tree.space.size
+    columns = list(zip(*basis))  # one per atom
     rows = []
-    for i in range(n):
-        coeffs = tuple(basis[b][i] for b in range(dim))
+    for coeffs in columns:
         rows.append(LinearConstraint(coeffs, "<=", _F1))
         rows.append(LinearConstraint(tuple(-c for c in coeffs), "<=", _F1))
     generators: list[RandomVariable] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for vertex in vertex_enumeration(rows, dim, _bounded=True):
-        values = tuple(
-            sum((vertex[b] * basis[b][i] for b in range(dim)), _F0) for i in range(n)
-        )
-        # vertices come in +/- pairs; keep the one whose leading entry is positive
-        first = next((v for v in values if v != 0), _F0)
-        if first < 0:
-            values = tuple(-v for v in values)
-        if values in seen:
+    for vertex in vertex_enumeration(rows, dim):
+        # The box is symmetric and c -> B^T c is injective, so the vertices
+        # come in +/- pairs; the member with a negative leading coordinate
+        # sorts first and stands for the pair.
+        if next(v for v in vertex if v) > 0:
             continue
-        seen.add(values)
-        generators.append(RandomVariable(tree.space, values))
+        values = [sum((c * v for c, v in zip(coeffs, vertex)), _F0) for coeffs in columns]
+        if next(v for v in values if v) < 0:
+            values = [-v for v in values]
+        generators.append(RandomVariable(tree.space, tuple(values)))
     return AbsolutelyConvexBody(tree.space, tuple(generators))
 
 

@@ -67,10 +67,6 @@ INF = _PositiveInfinity()
 ExtendedValue = Union[Fraction, _PositiveInfinity]
 
 
-def is_finite(value: ExtendedValue) -> bool:
-    return value is not INF
-
-
 def parse_rational(value: object) -> Fraction:
     """Parse an exact rational from an int or a ``"p/q"`` string."""
     if isinstance(value, bool):

@@ -136,19 +136,7 @@ def parse_point(space: FiniteProbabilitySpace, text: str) -> RandomVariable:
         raise ValidationError(
             f"point needs {space.size} coordinates (one per atom), got {len(parts)}"
         )
-    return RandomVariable(space, tuple(_parse_literal(p) for p in parts))
-
-
-def _parse_literal(text: str) -> Fraction:
-    return parse_rational(text if "/" in text or not _is_int(text) else int(text))
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
+    return RandomVariable(space, tuple(parse_rational(p) for p in parts))
 
 
 def canonical_json(payload: dict) -> str:

@@ -18,10 +18,12 @@ certificate vector of the wrong length: this gate may then raise
 
 ``vertex_enumeration`` is the brute force over every d-subset of rows that
 ``riskspan.exactlp`` ran before candidate bases were drawn from equality
-rank and parallel classes.  Like it, it probes with ``riskspan.exactlp.solve``
-and checks each subset with ``riskspan.linalg.rank`` and ``solve_exact``,
-the integer kernels that the Fraction engine above cross-checks, and each
-point with the Fraction ``_row_violation`` of the gate above.
+rank and parallel classes.  It probes every region with 2*d calls to
+``riskspan.exactlp.solve``; the library solves no LP where the rows prove
+the region bounded, and exactly these probes elsewhere.  It checks each
+subset with ``riskspan.linalg.rank`` and ``solve_exact``, the integer
+kernels that the Fraction engine above cross-checks, and each point with
+the Fraction ``_row_violation`` of the gate above.
 ``is_singleton`` and ``nonsolidity_witness`` are the market scans that
 bounded every atom's mass before pinned atoms were skipped.  The library
 must return identical results.
@@ -558,23 +560,22 @@ def in_span(rows: Sequence[Row], vector: Row) -> bool:
 
 
 def vertex_enumeration(
-    constraints: Sequence[LinearConstraint], dimension: int, bounded: bool = False
+    constraints: Sequence[LinearConstraint], dimension: int
 ) -> list[tuple[Fraction, ...]]:
     """Every feasible unique solution of a d-subset of rows, sorted.
 
-    Without ``bounded``, the 2*d coordinate probes first raise on an
-    unbounded region and return [] for an infeasible one.
+    The 2*d coordinate probes first raise on an unbounded region and return
+    [] for an infeasible one, on every region.
     """
-    if not bounded:
-        for j in range(dimension):
-            for sign in (1, -1):
-                objective = [_F0] * dimension
-                objective[j] = Fraction(sign)
-                probe = exactlp.solve(LinearProgram.minimize(objective, tuple(constraints)))
-                if probe.status is LPStatus.UNBOUNDED:
-                    raise PreconditionError("unbounded input region")
-                if probe.status is LPStatus.INFEASIBLE:
-                    return []
+    for j in range(dimension):
+        for sign in (1, -1):
+            objective = [_F0] * dimension
+            objective[j] = Fraction(sign)
+            probe = exactlp.solve(LinearProgram.minimize(objective, tuple(constraints)))
+            if probe.status is LPStatus.UNBOUNDED:
+                raise PreconditionError("unbounded input region")
+            if probe.status is LPStatus.INFEASIBLE:
+                return []
     # Many subsets share a point; each point's feasibility is checked once.
     feasible: dict[tuple[Fraction, ...], bool] = {}
     rows = [list(con.coefficients) for con in constraints]

@@ -308,6 +308,20 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("validation error:")
 
+    def test_point_literal_follows_the_document_grammar_exit_2(self, tmp_path, capsys):
+        # "1_0" is an int() literal but not a rational one, on either side.
+        code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", "1_0,1"])
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: not a rational literal: '1_0'\n"
+        doc = tmp_path / "underscore.json"
+        doc.write_text(
+            '{"space": {"atoms": ["a", "b"], "weights": ["1/2", "1/2"]}, '
+            '"generators": [["1_0", 0], [0, 1]]}'
+        )
+        code = main(["set-gauge", "--input", str(doc), "--point", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: not a rational literal: '1_0'\n"
+
     def test_oversized_json_integer_exit_2(self, tmp_path, capsys):
         doc = tmp_path / "huge.json"
         doc.write_text(

@@ -444,31 +444,41 @@ def _random_region(
     return rows, features
 
 
+def _enumerate_like_the_brute_force(rows: list, d: int, seen: Counter) -> list:
+    """The public call's vertices, checked against the probing brute force.
+
+    An unbounded region must raise on both sides (and yields []).  The call
+    solves no LP or exactly the oracle's probes.  Counts each region as
+    settled with no LP or probed, and by its outcome.
+    """
+    probes: list = []
+    with record_outcomes(probes):
+        try:
+            expected = ref.vertex_enumeration(rows, d)
+        except PreconditionError:
+            expected = None
+    outcomes: list = []
+    with record_outcomes(outcomes):
+        if expected is None:
+            with pytest.raises(PreconditionError, match="unbounded input region"):
+                vertex_enumeration(rows, d)
+        else:
+            assert vertex_enumeration(rows, d) == expected
+    assert outcomes in ([], probes)
+    seen["no LP" if not outcomes else "probed"] += 1
+    seen["unbounded" if expected is None else "nonempty" if expected else "empty"] += 1
+    return expected or []
+
+
 def test_vertex_enumeration_matches_the_subset_brute_force():
     rnd = random.Random(611)
     seen: Counter = Counter()
     for trial in range(400):
         d = rnd.choice((1, 2, 2, 3, 3, 3, 4, 4, 5))
-        bounded = trial % 5 != 0
-        rows, features = _random_region(rnd, d, bounded)
-        got = vertex_enumeration(rows, d, _bounded=True)
-        assert got == ref.vertex_enumeration(rows, d, bounded=True)
-        if bounded:
-            features.add("bounded")
-            features.add("empty" if not got else "nonempty")
+        rows, features = _random_region(rnd, d, trial % 5 != 0)
         seen.update(features)
-        # The probing public call on every region built without bounds and
-        # on the bounded ones of every tenth trial.
-        if trial % 10 in (0, 1, 5):
-            try:
-                expected = ref.vertex_enumeration(rows, d)
-            except PreconditionError:
-                with pytest.raises(PreconditionError, match="unbounded input region"):
-                    vertex_enumeration(rows, d)
-                seen["unbounded"] += 1
-            else:
-                assert vertex_enumeration(rows, d) == expected
-    assert min(seen.values()) >= 20 and len(seen) == 9, seen
+        _enumerate_like_the_brute_force(rows, d, seen)
+    assert min(seen.values()) >= 20 and len(seen) == 10, seen
 
 
 def test_vertex_enumeration_on_rows_with_mixed_denominators():
@@ -480,11 +490,11 @@ def test_vertex_enumeration_on_rows_with_mixed_denominators():
     for trial in range(200):
         d = rnd.choice((2, 3, 3, 4))
         rows, _features = _random_region(rnd, d, trial % 4 != 0, dens=(1, 2, 3, 5, 7, 12))
-        got = vertex_enumeration(rows, d, _bounded=True)
-        assert got == ref.vertex_enumeration(rows, d, bounded=True)
+        got = _enumerate_like_the_brute_force(rows, d, seen)
         seen["mixed rows"] += any(
             len({c.denominator for c in con.coefficients}) > 2 for con in rows
         )
         seen["rational rhs"] += any(con.rhs.denominator > 1 for con in rows)
         seen["fractional vertex"] += any(v.denominator > 1 for point in got for v in point)
-    assert min(seen.values()) >= 50, seen
+    assert min(seen["no LP"], seen["probed"]) >= 20, seen
+    assert min(seen["mixed rows"], seen["rational rhs"], seen["fractional vertex"]) >= 50, seen

@@ -260,6 +260,14 @@ class TestCertificateLengths:
         self._assert_rejected(lp, out, ("point", "ray"))
 
 
+def _enumerate_without_lp(rows: list, dimension: int) -> list:
+    outcomes: list = []
+    with record_outcomes(outcomes):
+        points = vertex_enumeration(rows, dimension)
+    assert outcomes == []
+    return points
+
+
 class TestVertexEnumeration:
     def test_unit_square(self):
         rows = [
@@ -268,7 +276,7 @@ class TestVertexEnumeration:
             LinearConstraint.of([0, 1], ">=", 0),
             LinearConstraint.of([0, 1], "<=", 1),
         ]
-        points = vertex_enumeration(rows, 2)
+        points = _enumerate_without_lp(rows, 2)
         assert len(points) == 4
         assert set(points) == {
             (Fraction(0), Fraction(0)),
@@ -283,7 +291,7 @@ class TestVertexEnumeration:
             LinearConstraint.of([0, 1], ">=", 0),
             LinearConstraint.of([1, 1], "<=", 1),
         ]
-        assert len(vertex_enumeration(rows, 2)) == 3
+        assert len(_enumerate_without_lp(rows, 2)) == 3
 
     def test_diamond(self):
         rows = [
@@ -292,12 +300,27 @@ class TestVertexEnumeration:
             LinearConstraint.of([1, -1], "<=", 1),
             LinearConstraint.of([1, -1], ">=", -1),
         ]
-        assert set(vertex_enumeration(rows, 2)) == {
+        assert set(_enumerate_without_lp(rows, 2)) == {
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)),
             (Fraction(-1), Fraction(0)),
             (Fraction(0), Fraction(-1)),
         }
+
+    def test_rows_that_cannot_certify_a_bound_are_probed(self):
+        # Bounded, but the oriented rows (1, 0), (0, 1), (-1, -2) do not sum
+        # to 0, so the 2*d coordinate probes decide.
+        rows = [
+            LinearConstraint.of([1, 0], ">=", 0),
+            LinearConstraint.of([0, 1], ">=", 0),
+            LinearConstraint.of([1, 2], "<=", 2),
+        ]
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            points = vertex_enumeration(rows, 2)
+        assert len(outcomes) == 4
+        assert all(out.status is LPStatus.OPTIMAL for _lp, out in outcomes)
+        assert points == [(0, 0), (0, 1), (2, 0)]
 
     def test_unbounded_region_rejected(self):
         rows = [LinearConstraint.of([1, 0], ">=", 0)]
@@ -335,7 +358,7 @@ class TestVertexEnumeration:
             assert out.value == best
 
 
-def _random_bounded_lp(rnd: random.Random) -> tuple[LinearProgram, list[LinearConstraint]]:
+def _random_boxed_lp(rnd: random.Random) -> tuple[LinearProgram, list[LinearConstraint]]:
     """A random LP whose feasible region is bounded, and that region as rows.
 
     Each variable is boxed by bounds (lower bounds mostly nonzero), or has a
@@ -379,11 +402,9 @@ def test_bounded_optimum_matches_the_best_vertex():
     rnd = random.Random(5)
     seen = set()
     for _ in range(150):
-        lp, region = _random_bounded_lp(rnd)
+        lp, region = _random_boxed_lp(rnd)
         out = solve(lp)
         points = vertex_enumeration(region, len(lp.objective))
-        # Skipping the boundedness probes changes nothing on a bounded region.
-        assert vertex_enumeration(region, len(lp.objective), _bounded=True) == points
         seen.add(out.status)
         if not points:
             assert out.status is LPStatus.INFEASIBLE
