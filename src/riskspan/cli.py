@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from . import bodies, market, risk, schema
 from .errors import CertificateError, PreconditionError, ValidationError
-from .exactlp import VERTEX_DIMENSION_CAP
 from .rational import format_extended, format_rational
 
 DEFAULT_MAX_ATOMS = 12
@@ -124,20 +123,14 @@ def _run_market_command(args, doc) -> dict:
     if args.command == "market-emm":
         emm = market.emm_set(tree)
         slack, sample = market.viability_certificate(tree)
-        viable = slack > 0
-        if tree.space.size <= VERTEX_DIMENSION_CAP:
-            vertices = emm.vertices()
-            if not vertices:
-                raise PreconditionError("empty martingale measure set")
-            singleton = len(vertices) == 1
-        else:
-            vertices = None
-            singleton = emm.is_singleton()
+        vertices = emm.vertices()
+        if not vertices:
+            raise PreconditionError("empty martingale measure set")
         return {
             "atoms": list(tree.space.atoms),
-            "viable": viable,
+            "viable": slack > 0,
             "sample_measure": schema.measure_to_json(sample) if sample is not None else None,
-            "is_singleton": singleton,
+            "is_singleton": len(vertices) == 1,
             "vertices": schema.vertices_to_json(vertices),
         }
     if args.command == "market-complete":

@@ -28,6 +28,10 @@ Statuses:
   * INFEASIBLE -- Farkas multipliers (rows + bounds) combining the
                   constraints into 0 >= positive.
   * UNBOUNDED  -- a feasible point plus an exact improving ray.
+
+``vertex_enumeration`` lists the vertices of a bounded H-polytope by double
+description on the same integer rows and solves no LP; each vertex is
+re-verified against the rows before it is returned.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -51,7 +54,8 @@ _F1 = Fraction(1)
 
 RELATIONS = ("=", "<=", ">=")
 
-VERTEX_DIMENSION_CAP = 8
+# The most rays the double description of ``vertex_enumeration`` may hold.
+VERTEX_RAY_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -616,89 +620,116 @@ def verify_outcome(lp: LinearProgram, outcome: LPOutcome) -> None:
 # vertex enumeration
 
 
-def _direction(ints: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The primitive direction of an integer row up to sign; None for a zero row."""
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """a * u - b * v, divided by the gcd of its entries."""
+    w = [a * x - b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
-def _recession_free(eq_rows: list, sides: dict[tuple[int, ...], int], dimension: int) -> bool:
-    """Whether the rows prove that no direction but 0 recedes; False proves nothing.
+def _double_description(
+    cone: Sequence[tuple[Sequence[int], bool]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Extreme rays and a lineality basis of {y : h.y >= 0, or = 0 if equality}.
 
-    ``sides`` maps each inequality class direction p to 0 when its rows bound
-    p.y from both sides along every recession direction y, else to the sign s
-    with s * p.y >= 0.  If the s * p sum into the span of the equality rows
-    and the two-sided p, each s * p.y is 0, so y is orthogonal to every row
-    and is 0 at rank d (Schrijver, Theory of Linear and Integer Programming).
+    Motzkin's double description method, row by row from the whole space as
+    lineality.  Rays are gcd-reduced integer tuples, each with its zero set
+    (the rows it is tight on) as a bitmask.  A row that some lineality vector
+    does not annul turns that vector into a ray (dropped for an equality row)
+    and projects the rest onto the row's hyperplane.  Otherwise an equality
+    row keeps its zero rays, an inequality row its zero and positive rays,
+    and both add the combination of each +/- pair of adjacent rays: their
+    common zero set has at least cone dimension - 2 rows, and no third ray's
+    zero set contains it (the combinatorial test of Fukuda & Prodon).
     """
-    closed = [*eq_rows, *(p for p, side in sides.items() if not side)]
-    kept = linalg._echelon(closed + [p for p, side in sides.items() if side])
-    total = [sum(side * p[j] for p, side in sides.items()) for j in range(dimension)]
-    return len(kept) == dimension and not any(
-        linalg._reduce([k for k in kept if k[0] < len(closed)], total)
-    )
+    n = len(cone[0][0])
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for bit, (h, equality) in enumerate(cone):
+        mask = 1 << bit
+        k = next((k for k, l in enumerate(lineality) if sum(map(mul, h, l))), None)
+        if k is not None:
+            pivot = lineality.pop(k)
+            hp = sum(map(mul, h, pivot))
+            if hp < 0:
+                pivot, hp = tuple(-v for v in pivot), -hp
+            lineality = [_combine(hp, l, sum(map(mul, h, l)), pivot) for l in lineality]
+            rays = [(_combine(hp, r, sum(map(mul, h, r)), pivot), z | mask) for r, z in rays]
+            if not equality:
+                rays.append((pivot, mask - 1))  # lineality annuls every earlier row
+            continue
+        zero_sets = [z for _r, z in rays]
+        kept, positive, negative = [], [], []
+        for r, z in rays:
+            value = sum(map(mul, h, r))
+            if value == 0:
+                kept.append((r, z | mask))
+            elif value > 0:
+                positive.append((value, r, z))
+                if not equality:
+                    kept.append((r, z))
+            else:
+                negative.append((value, r, z))
+        need = n - len(lineality) - 2
+        for vp, p, zp in positive:
+            for vn, q, zq in negative:
+                common = zp & zq
+                if common.bit_count() < need:
+                    continue
+                # p and q contain their common zero set; a third ray must not.
+                if sum(1 for z in zero_sets if z & common == common) > 2:
+                    continue
+                kept.append((_combine(vp, q, vn, p), common | mask))
+                if len(kept) > VERTEX_RAY_BUDGET:
+                    raise PreconditionError(
+                        f"vertex enumeration needs more than {VERTEX_RAY_BUDGET} rays"
+                    )
+        rays = kept
+    return [r for r, _z in rays], lineality
 
 
 def vertex_enumeration(
     constraints: Sequence[LinearConstraint], dimension: int
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded H-polytope by enumeration of candidate bases.
+    """All vertices of a bounded H-polytope, sorted, by double description.
 
-    Every equality row is tight at a vertex, so a candidate basis is all the
-    equality rows (of rank r) plus d - r inequality rows.  Parallel rows are
-    dependent, so a basis takes at most one row from each parallel class
-    (rows with one primitive direction up to sign), and zero rows none; each
-    candidate is solved by one exact elimination and kept when its unique
-    solution satisfies the integer rows, which are scaled once per call.
-    Intended for d <= 8 (the documented scalability boundary).  Solves no LP
-    when the classes prove the region bounded (``_recession_free``); else 2*d
-    coordinate probes raise PreconditionError on an unbounded region and
-    return [] on an infeasible one.
+    Takes the extreme rays of the homogenised cone {(x, t) : t >= 0,
+    t*b - a.x >= 0 per row, = 0 for an equality row} (Motzkin, Raiffa,
+    Thompson & Thrall, "The double description method", 1953; Fukuda &
+    Prodon, "Double description method revisited", 1996) and reads the
+    status off them, with no LP: no ray with t > 0 means the region is empty
+    (returns []); a ray with t = 0, or lineality left over, means it is
+    unbounded (raises PreconditionError).  Otherwise the vertices are the
+    rays r / t, and each must satisfy every integer row and be tight on rows
+    of rank d, or CertificateError is raised.  More than
+    ``VERTEX_RAY_BUDGET`` rays raise PreconditionError.
     """
     if dimension < 1:
         raise ValidationError("dimension must be positive")
-    if dimension > VERTEX_DIMENSION_CAP:
-        raise PreconditionError(
-            f"dimension {dimension} exceeds the vertex-enumeration cap {VERTEX_DIMENSION_CAP}"
-        )
     for con in constraints:
         if len(con.coefficients) != dimension:
             raise ValidationError("constraint row length differs from dimension")
 
     rows = _integer_rows(constraints)
-    eq_rows = [list(con.coefficients) for con in constraints if con.relation == "="]
-    eq_rhs = [con.rhs for con in constraints if con.relation == "="]
-    classes: dict[tuple[int, ...], list[LinearConstraint]] = {}
-    sides: dict[tuple[int, ...], int] = {}
-    for con, (a, rel, _b, _den) in zip(constraints, rows):
-        if rel != "=":
-            key = _direction(a)
-            if key is not None:
-                classes.setdefault(key, []).append(con)
-                # a = k * key: the row bounds key.y from below iff k > 0 agrees with ">=".
-                side = 1 if (next(v for v in a if v) > 0) == (rel == ">=") else -1
-                sides[key] = side if sides.get(key, side) == side else 0
-
-    if not _recession_free(eq_rows, sides, dimension):
-        for j, sign in product(range(dimension), (1, -1)):
-            objective = [Fraction(sign) if i == j else _F0 for i in range(dimension)]
-            probe = solve(LinearProgram.minimize(objective, tuple(constraints)))
-            if probe.status is LPStatus.UNBOUNDED:
-                raise PreconditionError("unbounded input region")
-            if probe.status is LPStatus.INFEASIBLE:
-                return []
-
-    vertices: set[tuple[Fraction, ...]] = set()
-    for chosen in combinations(classes.values(), dimension - linalg.rank(eq_rows)):
-        for picks in product(*chosen):
-            point = linalg._unique_solution(
-                eq_rows + [list(con.coefficients) for con in picks],
-                eq_rhs + [con.rhs for con in picks],
-            )
-            if point is not None and _row_violation(rows, *linalg._scaled(point)) is None:
-                vertices.add(tuple(point))
+    # Each row as h with h.(x, t) >= 0, or = 0 for an equality; t >= 0 last.
+    cone = [
+        ([*a, -b] if rel == ">=" else [*(-v for v in a), b], rel == "=")
+        for a, rel, b, _den in rows
+    ]
+    cone.append(([0] * dimension + [1], False))
+    rays, lineality = _double_description(cone)
+    tops = [r for r in rays if r[-1] > 0]
+    if not tops:
+        return []
+    if lineality or len(tops) < len(rays):
+        raise PreconditionError("unbounded input region")
+    vertices = []
+    for *x, t in tops:
+        violation = _row_violation(rows, x, t)
+        if violation is not None:
+            raise CertificateError(f"vertex check: {violation}")
+        tight = [a for a, _rel, b, _den in rows if sum(map(mul, a, x)) == b * t]
+        if linalg.rank(tight) != dimension:
+            raise CertificateError("vertex check: tight rows have rank below the dimension")
+        vertices.append(tuple(Fraction(v, t) for v in x))
     return sorted(vertices)

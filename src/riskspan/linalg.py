@@ -90,19 +90,14 @@ def independent_rows(rows: Sequence[Row]) -> list[int]:
     return [idx for idx, _pcol, _row in _echelon(rows)]
 
 
-def _consistent_echelon(
-    rows: Sequence[Row], rhs: Sequence[Fraction]
-) -> Optional[list[tuple[int, int, list[int]]]]:
-    """``_echelon`` of the augmented rows ``[rows | rhs]``, or None if inconsistent."""
+def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """Some exact solution of ``rows @ x = rhs`` (free vars pinned to 0), or None."""
+    if not rows:
+        return []
     n = len(rows[0])
     kept = _echelon([list(rows[i]) + [rhs[i]] for i in range(len(rows))])
     if any(pcol == n for _idx, pcol, _row in kept):
         return None
-    return kept
-
-
-def _back_substitute(kept: list[tuple[int, int, list[int]]], n: int) -> list[Fraction]:
-    """The solution of a consistent augmented echelon form, free vars pinned to 0."""
     # A kept row is already zero at the pivots of the rows before it, so
     # clearing it at the pivots after it (last row first) leaves one nonzero
     # per row among the pivot columns.
@@ -112,27 +107,6 @@ def _back_substitute(kept: list[tuple[int, int, list[int]]], n: int) -> list[Fra
         _reduce(kept[k + 1 :], work)
         x[pcol] = Fraction(work[n], work[pcol])
     return x
-
-
-def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Some exact solution of ``rows @ x = rhs`` (free vars pinned to 0), or None."""
-    if not rows:
-        return []
-    kept = _consistent_echelon(rows, rhs)
-    return None if kept is None else _back_substitute(kept, len(rows[0]))
-
-
-def _unique_solution(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """The solution of ``rows @ x = rhs`` when it exists and is unique, else None.
-
-    One elimination decides both: the system is consistent and its rank is
-    the number of columns.
-    """
-    n = len(rows[0])
-    kept = _consistent_echelon(rows, rhs)
-    if kept is None or len(kept) < n:
-        return None
-    return _back_substitute(kept, n)
 
 
 def in_span(rows: Sequence[Row], vector: Row) -> bool:

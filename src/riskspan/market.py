@@ -17,14 +17,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from . import linalg
 from .bodies import AbsolutelyConvexBody
 from .errors import CertificateError, PreconditionError, SpaceMismatchError, ValidationError
-from .exactlp import (
-    VERTEX_DIMENSION_CAP,
-    LinearConstraint,
-    LinearProgram,
-    LPStatus,
-    solve,
-    vertex_enumeration,
-)
+from .exactlp import LinearConstraint, LinearProgram, LPStatus, solve, vertex_enumeration
 from .measure import FiniteProbabilitySpace, Measure, RandomVariable
 from .rational import parse_rational
 
@@ -206,8 +199,8 @@ class MartingaleMeasureSet:
     def vertices(self) -> list[tuple[Fraction, ...]]:
         """The extreme measures of the closure, sorted; empty iff it is empty.
 
-        The nonnegativity rows sum to the row of ones, so ``vertex_enumeration``
-        proves the closure bounded from its rows and solves no LP.
+        ``vertex_enumeration`` solves no LP; the closure lies in the simplex,
+        so it is bounded, and its size is limited only by the ray budget.
         """
         rows = self.lp_constraints()
         for atom in self.space.atoms:
@@ -374,28 +367,22 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
     """The attainable claims with sup-norm at most 1, in generator form.
 
     Intersects span(strategy gains + constant) with the unit box in span
-    coordinates and converts to generators by vertex enumeration; raises
-    when the span dimension exceeds the enumeration cap.  The box pulls back
-    through an independent basis, so every row class is an anti-parallel
-    pair and ``vertex_enumeration`` proves the region bounded without an LP;
+    coordinates and converts to generators by vertex enumeration, which
+    solves no LP and raises PreconditionError past its ray budget.  The box
+    pulls back through an independent basis, so the region is bounded, and
     it is nonempty, since it holds 0.
     """
     _require_viable(tree)
     basis_rows = [list(e.values) for e in strategy_basis(tree).elements]
     kept = linalg.independent_rows(basis_rows)
     basis = [basis_rows[i] for i in kept]
-    dim = len(basis)
-    if dim > VERTEX_DIMENSION_CAP:
-        raise PreconditionError(
-            f"span dimension {dim} exceeds the vertex-enumeration cap {VERTEX_DIMENSION_CAP}"
-        )
     columns = list(zip(*basis))  # one per atom
     rows = []
     for coeffs in columns:
         rows.append(LinearConstraint(coeffs, "<=", _F1))
         rows.append(LinearConstraint(tuple(-c for c in coeffs), "<=", _F1))
     generators: list[RandomVariable] = []
-    for vertex in vertex_enumeration(rows, dim):
+    for vertex in vertex_enumeration(rows, len(basis)):
         # The box is symmetric and c -> B^T c is injective, so the vertices
         # come in +/- pairs; the member with a negative leading coordinate
         # sorts first and stands for the pair.

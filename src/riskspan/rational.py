@@ -14,7 +14,9 @@ from typing import Union
 
 from .errors import ValidationError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits, matched in full: Fraction() also reads other scripts' digits
+# and surrounding whitespace, which the "p/q" grammar excludes.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class _PositiveInfinity:
@@ -76,7 +78,7 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ValidationError(f"not a rational literal: {value!r}")
         try:
             return Fraction(value)

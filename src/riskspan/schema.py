@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .bodies import AbsolutelyConvexBody
 from .errors import ValidationError
@@ -148,7 +147,5 @@ def hedge_to_json(hedge: dict[str, tuple[Fraction, ...]]) -> dict[str, list[str]
     return {nid: [format_rational(h) for h in holding] for nid, holding in sorted(hedge.items())}
 
 
-def vertices_to_json(vertices) -> Optional[list[list[str]]]:
-    if vertices is None:
-        return None
+def vertices_to_json(vertices) -> list[list[str]]:
     return [[format_rational(c) for c in vertex] for vertex in vertices]

@@ -17,13 +17,14 @@ certificate vector of the wrong length: this gate may then raise
 ``IndexError`` or accept, where the library raises ``CertificateError``.
 
 ``vertex_enumeration`` is the brute force over every d-subset of rows that
-``riskspan.exactlp`` ran before candidate bases were drawn from equality
-rank and parallel classes.  It probes every region with 2*d calls to
-``riskspan.exactlp.solve``; the library solves no LP where the rows prove
-the region bounded, and exactly these probes elsewhere.  It checks each
-subset with ``riskspan.linalg.rank`` and ``solve_exact``, the integer
-kernels that the Fraction engine above cross-checks, and each point with
-the Fraction ``_row_violation`` of the gate above.
+``riskspan.exactlp`` ran before it moved to double description.  It probes
+every region with 2*d calls to ``riskspan.exactlp.solve`` to tell empty and
+unbounded regions apart; the library reads both off its rays and solves no
+LP.  It checks each subset with ``riskspan.linalg.rank`` and
+``solve_exact``, the integer kernels that the Fraction engine above
+cross-checks, and each point with the Fraction ``_row_violation`` of the
+gate above.  The library must return the same sorted vertices, and raise
+on the same unbounded regions.
 ``is_singleton`` and ``nonsolidity_witness`` are the market scans that
 bounded every atom's mass before pinned atoms were skipped.  The library
 must return identical results.

@@ -168,6 +168,32 @@ def random_tree(rnd: random.Random) -> MarketTree:
     return MarketTree(nodes, {nid: Fraction(w, total) for nid, w in raw_weights.items()})
 
 
+def branching_tree(rnd: random.Random, branching: tuple[int, ...]) -> MarketTree:
+    """A viable one-asset tree whose nodes at time t have ``branching[t]`` children.
+
+    Each node's moves are distinct, nonzero and centred under a random
+    positive measure on its children; node ids are paths ("r", "r0", ...).
+    """
+    nodes = [_node("r", None, 0, [random_fraction(rnd, 4, 8)])]
+    frontier = [nodes[0]]
+    for time, width in enumerate(branching, 1):
+        next_frontier = []
+        for parent in frontier:
+            moves = [Fraction(0)]
+            while 0 in moves or len(set(moves)) < width:
+                q = [rnd.randint(1, 3) for _ in range(width)]
+                raw = [random_fraction(rnd, -2, 2) for _ in range(width)]
+                mean = sum(qi * r for qi, r in zip(q, raw)) / sum(q)
+                moves = [r - mean for r in raw]
+            for c, move in enumerate(moves):
+                prices = [parent.prices[0] + move]
+                nodes.append(_node(f"{parent.node_id}{c}", parent.node_id, time, prices))
+                next_frontier.append(nodes[-1])
+        frontier = next_frontier
+    weight = Fraction(1, len(frontier))
+    return MarketTree(nodes, {leaf.node_id: weight for leaf in frontier})
+
+
 def nonviable_tree() -> MarketTree:
     """Terminal prices >= 1 with strict gain on one leaf: an arbitrage."""
     nodes = [

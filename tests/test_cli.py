@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import riskspan.exactlp
@@ -10,6 +11,7 @@ from riskspan import (
     Measure,
     RandomVariable,
     emm_set,
+    format_rational,
     member,
     record_outcomes,
     replicates,
@@ -17,6 +19,8 @@ from riskspan import (
 )
 from riskspan.cli import main
 from riskspan.schema import load_document, market_from_json, parse_point
+
+from support import branching_tree
 
 TESTS = os.path.dirname(__file__)
 FIXTURES = os.path.join(TESTS, "fixtures")
@@ -145,6 +149,36 @@ class TestMarketCommands:
             report = run_json(capsys, "market-emm", "--input", fx("market_trinomial.json"))
         assert report["result"]["is_singleton"] is False
         assert len(outcomes) == 1
+
+    def test_emm_above_eight_atoms_lists_its_vertices(self, tmp_path, capsys):
+        tree = branching_tree(random.Random(9), (3, 3))
+        doc = tmp_path / "nine.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "nodes": [
+                        {
+                            "id": nd.node_id,
+                            "parent": nd.parent,
+                            "time": nd.time,
+                            "prices": [format_rational(p) for p in nd.prices],
+                        }
+                        for nd in tree.nodes
+                    ],
+                    "leaf_weights": {
+                        atom: format_rational(w)
+                        for atom, w in zip(tree.space.atoms, tree.space.weights)
+                    },
+                }
+            )
+        )
+        result = run_json(capsys, "market-emm", "--input", str(doc))["result"]
+        assert len(result["atoms"]) == 9
+        assert result["is_singleton"] is False
+        assert result["vertices"] == [
+            [format_rational(q) for q in vertex] for vertex in emm_set(tree).vertices()
+        ]
+        assert len(result["vertices"]) > 1
 
     def test_emm_of_an_empty_set_exit_3(self, tmp_path, capsys):
         doc = tmp_path / "drift.json"
@@ -309,10 +343,13 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("validation error:")
 
     def test_point_literal_follows_the_document_grammar_exit_2(self, tmp_path, capsys):
-        # "1_0" is an int() literal but not a rational one, on either side.
-        code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", "1_0,1"])
-        assert code == 2
-        assert capsys.readouterr().err == "validation error: not a rational literal: '1_0'\n"
+        # "1_0" is an int() literal but not a rational one, on either side;
+        # "١" (Arabic-Indic one) is a Fraction() literal but not an ASCII one.
+        for literal in ("1_0", "١"):
+            code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", f"{literal},1"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"validation error: not a rational literal: {literal!r}\n"
         doc = tmp_path / "underscore.json"
         doc.write_text(
             '{"space": {"atoms": ["a", "b"], "weights": ["1/2", "1/2"]}, '

@@ -340,32 +340,6 @@ def test_eliminations_match_the_reference():
     assert not linalg.in_span([], [Fraction(1)])
 
 
-def test_unique_solution_matches_rank_and_solve_exact():
-    # Square, tall and wide systems, singular and inconsistent ones included.
-    rnd = random.Random(610)
-    seen = {"unique": 0, "singular": 0, "inconsistent": 0}
-    for _ in range(500):
-        rows = _random_matrix(rnd)
-        n = len(rows[0])
-        if rnd.random() < 0.4:
-            rows = rows[:n] if len(rows) >= n else rows + _block(rnd, n - len(rows), n, (1, 2))
-        x0 = [Fraction(rnd.randint(-3, 3), rnd.choice((1, 2))) for _ in range(n)]
-        consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
-        arbitrary = [Fraction(rnd.randint(-3, 3)) for _ in rows]
-        for rhs in (consistent, arbitrary):
-            full = ref.rank(rows) == n
-            expected = ref.solve_exact(rows, rhs) if full else None
-            assert linalg._unique_solution(rows, rhs) == expected
-            if not full:
-                seen["singular"] += 1
-            elif expected is None:
-                seen["inconsistent"] += 1
-            else:
-                seen["unique"] += 1
-                assert expected == x0 or rhs is arbitrary
-    assert min(seen.values()) >= 40, seen
-
-
 def _random_region(
     rnd: random.Random, d: int, bounded: bool, dens: tuple = (1, 1, 2, 3)
 ) -> tuple[list, set]:
@@ -448,15 +422,12 @@ def _enumerate_like_the_brute_force(rows: list, d: int, seen: Counter) -> list:
     """The public call's vertices, checked against the probing brute force.
 
     An unbounded region must raise on both sides (and yields []).  The call
-    solves no LP or exactly the oracle's probes.  Counts each region as
-    settled with no LP or probed, and by its outcome.
+    solves no LP.  Counts each region by its outcome.
     """
-    probes: list = []
-    with record_outcomes(probes):
-        try:
-            expected = ref.vertex_enumeration(rows, d)
-        except PreconditionError:
-            expected = None
+    try:
+        expected = ref.vertex_enumeration(rows, d)
+    except PreconditionError:
+        expected = None
     outcomes: list = []
     with record_outcomes(outcomes):
         if expected is None:
@@ -464,8 +435,7 @@ def _enumerate_like_the_brute_force(rows: list, d: int, seen: Counter) -> list:
                 vertex_enumeration(rows, d)
         else:
             assert vertex_enumeration(rows, d) == expected
-    assert outcomes in ([], probes)
-    seen["no LP" if not outcomes else "probed"] += 1
+    assert outcomes == []
     seen["unbounded" if expected is None else "nonempty" if expected else "empty"] += 1
     return expected or []
 
@@ -478,13 +448,13 @@ def test_vertex_enumeration_matches_the_subset_brute_force():
         rows, features = _random_region(rnd, d, trial % 5 != 0)
         seen.update(features)
         _enumerate_like_the_brute_force(rows, d, seen)
-    assert min(seen.values()) >= 20 and len(seen) == 10, seen
+    assert min(seen.values()) >= 20 and len(seen) == 8, seen
 
 
 def test_vertex_enumeration_on_rows_with_mixed_denominators():
     # Entries over several denominators within one row and rational
-    # right-hand sides, so every row's integer scaling and every candidate
-    # point's denominator enter the feasibility check.
+    # right-hand sides, so every row's integer scaling and every vertex's
+    # denominator enter the vertex check.
     rnd = random.Random(615)
     seen: Counter = Counter()
     for trial in range(200):
@@ -496,5 +466,4 @@ def test_vertex_enumeration_on_rows_with_mixed_denominators():
         )
         seen["rational rhs"] += any(con.rhs.denominator > 1 for con in rows)
         seen["fractional vertex"] += any(v.denominator > 1 for point in got for v in point)
-    assert min(seen["no LP"], seen["probed"]) >= 20, seen
     assert min(seen["mixed rows"], seen["rational rhs"], seen["fractional vertex"]) >= 50, seen

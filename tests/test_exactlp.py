@@ -20,6 +20,7 @@ from riskspan import (
     verify_outcome,
     vertex_enumeration,
 )
+from riskspan import exactlp
 from riskspan.exactlp import _normalize, verify_infeasible, verify_optimal
 
 
@@ -260,6 +261,16 @@ class TestCertificateLengths:
         self._assert_rejected(lp, out, ("point", "ray"))
 
 
+def _cube(d: int, low: int = -1, high: int = 1) -> list:
+    """The rows of the box [low, high]^d."""
+    rows = []
+    for j in range(d):
+        unit = [0] * d
+        unit[j] = 1
+        rows += [LinearConstraint.of(unit, ">=", low), LinearConstraint.of(unit, "<=", high)]
+    return rows
+
+
 def _enumerate_without_lp(rows: list, dimension: int) -> list:
     outcomes: list = []
     with record_outcomes(outcomes):
@@ -307,20 +318,15 @@ class TestVertexEnumeration:
             (Fraction(0), Fraction(-1)),
         }
 
-    def test_rows_that_cannot_certify_a_bound_are_probed(self):
-        # Bounded, but the oriented rows (1, 0), (0, 1), (-1, -2) do not sum
-        # to 0, so the 2*d coordinate probes decide.
+    def test_triangle_needs_no_lp(self):
+        # The oriented rows (1, 0), (0, 1), (-1, -2) do not sum to 0; the
+        # double description still settles the region from its rays.
         rows = [
             LinearConstraint.of([1, 0], ">=", 0),
             LinearConstraint.of([0, 1], ">=", 0),
             LinearConstraint.of([1, 2], "<=", 2),
         ]
-        outcomes: list = []
-        with record_outcomes(outcomes):
-            points = vertex_enumeration(rows, 2)
-        assert len(outcomes) == 4
-        assert all(out.status is LPStatus.OPTIMAL for _lp, out in outcomes)
-        assert points == [(0, 0), (0, 1), (2, 0)]
+        assert _enumerate_without_lp(rows, 2) == [(0, 0), (0, 1), (2, 0)]
 
     def test_unbounded_region_rejected(self):
         rows = [LinearConstraint.of([1, 0], ">=", 0)]
@@ -334,9 +340,24 @@ class TestVertexEnumeration:
         ]
         assert vertex_enumeration(rows, 1) == []
 
-    def test_dimension_cap(self):
-        with pytest.raises(PreconditionError):
-            vertex_enumeration([LinearConstraint.of([0] * 9, "<=", 1)], 9)
+    def test_ray_budget(self, monkeypatch):
+        # The d-cube has 2^d vertices, so a budget of 16 rays admits d = 4 only.
+        monkeypatch.setattr(exactlp, "VERTEX_RAY_BUDGET", 16)
+        assert len(vertex_enumeration(_cube(4), 4)) == 16
+        with pytest.raises(PreconditionError, match="more than 16 rays"):
+            vertex_enumeration(_cube(5), 5)
+
+    def test_vertex_gate_rejects_an_infeasible_point(self, monkeypatch):
+        # (3/2, 1/2) as the ray (3, 1, 2) lies outside the unit square.
+        monkeypatch.setattr(exactlp, "_double_description", lambda cone: ([(3, 1, 2)], []))
+        with pytest.raises(CertificateError, match="^vertex check: <= row violated$"):
+            vertex_enumeration(_cube(2, 0, 1), 2)
+
+    def test_vertex_gate_rejects_a_feasible_non_vertex(self, monkeypatch):
+        # The centre of the unit square is tight on no row.
+        monkeypatch.setattr(exactlp, "_double_description", lambda cone: ([(1, 1, 2)], []))
+        with pytest.raises(CertificateError, match="rank below the dimension$"):
+            vertex_enumeration(_cube(2, 0, 1), 2)
 
     def test_optima_live_on_vertices(self):
         rnd = random.Random(99)

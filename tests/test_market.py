@@ -9,6 +9,9 @@ from itertools import combinations
 import pytest
 
 from riskspan import (
+    LinearConstraint,
+    LinearProgram,
+    LPStatus,
     MarketNode,
     MarketTree,
     Measure,
@@ -24,14 +27,18 @@ from riskspan import (
     replicates,
     solid_check,
     solid_hull_member,
+    solve,
     span_basis,
     strategy_basis,
     viability,
     viability_certificate,
+    vertex_enumeration,
 )
+from riskspan import linalg
 import fraction_reference as ref
 from support import (
     binomial_tree,
+    branching_tree,
     no_trading_tree,
     nonviable_tree,
     random_fraction,
@@ -138,12 +145,25 @@ class TestEmmSet:
         assert outcomes == []
 
     def test_vertices_solve_no_lp(self):
-        # The closure lies in the simplex, so no boundedness probe is needed.
         outcomes: list = []
         with record_outcomes(outcomes):
             vertices = emm_set(two_period_tree()).vertices()
         assert len(vertices) == 1
         assert outcomes == []
+
+    def test_nine_leaf_polytope_matches_the_brute_force(self):
+        # Two trinomial periods: 9 atoms, above the old cap of 8, and 4 free
+        # dimensions (9 atoms less 1 + 4 independent martingale rows).
+        tree = branching_tree(random.Random(9), (3, 3))
+        emm = emm_set(tree)
+        rows = emm.lp_constraints()
+        for atom in tree.space.atoms:
+            unit = RandomVariable.indicator(tree.space, [atom]).values
+            rows.append(LinearConstraint(unit, ">=", Fraction(0)))
+        vertices = emm.vertices()
+        assert len(vertices) > 1
+        assert vertices == ref.vertex_enumeration(rows, 9)
+        assert emm.affine_dimension() == 4
 
     def test_contains_checks_rows_exactly(self):
         tree = binomial_tree()
@@ -286,6 +306,35 @@ class TestAttainableBall:
         with record_outcomes(outcomes):
             attainable_ball(two_period_tree())
         assert len(outcomes) == 1
+
+    def test_sixteen_leaf_ball_enumerates_without_lp(self):
+        # Two periods of four branches: span dimension 6, 16 atoms.  The
+        # optimum of each linear objective over the box in span coordinates
+        # is the least value over its vertices.
+        tree = branching_tree(random.Random(16), (4, 4))
+        gains = [list(e.values) for e in strategy_basis(tree).elements]
+        basis = [gains[i] for i in linalg.independent_rows(gains)]
+        rows = [
+            LinearConstraint(tuple(sign * c for c in column), "<=", Fraction(1))
+            for column in zip(*basis)
+            for sign in (1, -1)
+        ]
+        outcomes: list = []
+        with record_outcomes(outcomes):
+            vertices = vertex_enumeration(rows, len(basis))
+        assert outcomes == [] and len(basis) == 6
+        rnd = random.Random(17)
+        for _ in range(25):
+            objective = [random_fraction(rnd) for _ in basis]
+            out = solve(LinearProgram.minimize(objective, rows))
+            assert out.status is LPStatus.OPTIMAL
+            assert out.value == min(sum(c * v for c, v in zip(objective, p)) for p in vertices)
+        # The ball's generators are the claims of one vertex from each +/- pair.
+        columns = list(zip(*basis))
+        claims = {tuple(sum(c * v for c, v in zip(col, p)) for col in columns) for p in vertices}
+        generators = attainable_ball(tree).generators
+        assert 2 * len(generators) == len(vertices)
+        assert all(g.values in claims for g in generators)
 
     def test_no_trading_ball_is_the_constant_segment(self):
         ball = attainable_ball(no_trading_tree())

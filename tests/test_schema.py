@@ -25,7 +25,8 @@ class TestRationalLiterals:
         assert parse_rational("+1/3") == Fraction(1, 3)
 
     def test_rejects_floats_and_junk(self):
-        for bad in (1.5, "1.5", "1/0", "a/b", True, None, "1/-2"):
+        # Fraction() reads non-ASCII digits and a trailing newline; the grammar does not.
+        for bad in (1.5, "1.5", "1/0", "a/b", True, None, "1/-2", "١", "1/1٢", "１２", "1\n"):
             with pytest.raises(ValidationError):
                 parse_rational(bad)
 
