@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Optional
 
@@ -70,10 +70,17 @@ class Subspace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _echelon_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The basis as reduced integer rows, eliminated once per subspace."""
+        kept = linalg._echelon([b.values for b in self.basis])
+        return tuple(tuple(row) for _idx, _pcol, row in kept)
+
     def contains(self, x: RandomVariable) -> bool:
         if x.space != self.space:
             raise SpaceMismatchError("vector lives on a different space")
-        return linalg.in_span([list(b.values) for b in self.basis], list(x.values))
+        # Rows already in echelon form pass through in_span with no elimination.
+        return linalg.in_span(self._echelon_rows, list(x.values))
 
 
 @lru_cache(maxsize=128)

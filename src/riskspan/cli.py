@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from . import bodies, market, risk, schema
@@ -36,7 +37,9 @@ COMMANDS = (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call, not at import, and reused after."""
     parser = argparse.ArgumentParser(
         prog="riskspan",
         description="Exact analyses of convex bodies, risk functions, and finite markets.",

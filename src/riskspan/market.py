@@ -10,7 +10,7 @@ equals constancy over the (dense) set itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -78,21 +78,31 @@ class MarketTree:
         weights = tuple(leaf_weights[nid] for nid in leaf_ids)
         space = FiniteProbabilitySpace(tuple(leaf_ids), weights)
 
-        self._by_id = by_id
-        self._children = {nid: tuple(kids) for nid, kids in children.items()}
-        self.nodes = tuple(nodes)
-        self.root = root.node_id
-        self.asset_count = asset_count
-        self.terminal_time = terminal
-        self.space = space
+        kids_of = {nid: tuple(kids) for nid, kids in children.items()}
         # Leaves below every node, deepest level first, in child order.
         leaves: dict[str, tuple[str, ...]] = {}
         for node in sorted(nodes, key=lambda nd: -nd.time):
-            kids = self._children[node.node_id]
+            kids = kids_of[node.node_id]
             leaves[node.node_id] = (
                 tuple(leaf for kid in kids for leaf in leaves[kid]) if kids else (node.node_id,)
             )
-        self._leaves_below = leaves
+        # Set once, past __setattr__; afterwards the tree is frozen.
+        vars(self).update(
+            _by_id=by_id,
+            _children=kids_of,
+            _leaves_below=leaves,
+            nodes=tuple(nodes),
+            root=root.node_id,
+            asset_count=asset_count,
+            terminal_time=terminal,
+            space=space,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def node(self, node_id: str) -> MarketNode:
         try:

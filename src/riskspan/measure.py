@@ -169,22 +169,26 @@ def abs_pairing(f: RandomVariable, g: RandomVariable) -> Fraction:
 def ky_fan_distance(f: RandomVariable, g: RandomVariable) -> Fraction:
     """inf{eps >= 0 : mu(|f-g| > eps) <= eps}, the attained exact minimum.
 
-    The tail probability is a right-continuous step function of eps, so the
-    infimum is attained either at a jump (one of the |f_i - g_i|) or where
-    the constant tail value itself is feasible; both candidate families are
-    finite and scanned exactly.
+    Sort the distances |f_i - g_i| as d_1 >= ... >= d_n, set d_(n+1) = 0, and
+    let M_k be the mass of the first k atoms.  The distance is the minimum
+    over k = 0..n of max(d_(k+1), M_k): that eps leaves at most the first k
+    atoms above it, so it is feasible, and the optimum, with some k atoms
+    above it, is at least d_(k+1) and M_k.  The d fall and the M rise, so the
+    scan stops at the first k with M_k >= d_(k+1).
     """
     _require_same_space(f, g)
-    mu = f.space.weights
-    diffs = [abs(a - b) for a, b in zip(f.values, g.values)]
-
-    def tail(eps: Fraction) -> Fraction:
-        return sum((w for w, d in zip(mu, diffs) if d > eps), _F0)
-
-    candidates = {_F0}
-    candidates.update(diffs)
-    candidates.update(tail(t) for t in list(candidates))
-    return min(eps for eps in candidates if tail(eps) <= eps)
+    ranked = sorted(
+        zip((abs(a - b) for a, b in zip(f.values, g.values)), f.space.weights), reverse=True
+    )
+    dists = [d for d, _w in ranked] + [_F0]
+    best = dists[0]
+    mass = _F0
+    for k, (_d, w) in enumerate(ranked, start=1):
+        mass += w
+        best = min(best, max(dists[k], mass))
+        if mass >= dists[k]:
+            break
+    return best
 
 
 def compactifying_measure(xi: RandomVariable) -> Measure:

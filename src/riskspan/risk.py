@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .bodies import AbsolutelyConvexBody, gauge, span_basis
+from .bodies import AbsolutelyConvexBody, Subspace, gauge, span_basis
 from .errors import (
     CertificateError,
     KBoundViolationError,
@@ -29,6 +29,16 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 FATOU_MIN_TAIL = 8
+
+
+class _SpanData(NamedTuple):
+    """span(K) and how the scenarios pair with it, one entry per basis vector e."""
+
+    subspace: Subspace
+    # pairing(g_j, e) over the scenarios g_j
+    pairings: tuple[tuple[Fraction, ...], ...]
+    # mu_i * e_i over the atoms: pairing(g, e) as a row over the values of g
+    weighted: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -61,12 +71,23 @@ class PolyhedralRiskFunction:
     def space(self):
         return self.body.space
 
+    @cached_property
+    def _span_data(self) -> _SpanData:
+        """Built on first use and kept on the value, which never changes."""
+        subspace = span_basis(self.body)
+        mu = self.space.weights
+        return _SpanData(
+            subspace,
+            tuple(tuple(pairing(g, e) for g, _alpha in self.scenarios) for e in subspace.basis),
+            tuple(tuple(w * v for w, v in zip(mu, e.values)) for e in subspace.basis),
+        )
+
 
 def evaluate(phi: PolyhedralRiskFunction, f: RandomVariable) -> ExtendedValue:
     """max_j(pairing(f, g_j) - alpha_j) on span(K); INF off the span."""
     if f.space != phi.space:
         raise SpaceMismatchError("point lives on a different space")
-    if not span_basis(phi.body).contains(f):
+    if not phi._span_data.subspace.contains(f):
         return INF
     return max(pairing(f, g) - alpha for g, alpha in phi.scenarios)
 
@@ -82,14 +103,34 @@ def conjugate(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
     return _conjugate_lp(phi, g)
 
 
+def _matching_rows(
+    phi: PolyhedralRiskFunction,
+    g: Optional[RandomVariable] = None,
+    scenario: Optional[int] = None,
+) -> list[LinearConstraint]:
+    """The rows "the scenario mixture matches g on span(K)".
+
+    One row per basis vector e of span(K): sum_j lambda_j pairing(g_j, e) =
+    pairing(g, e).  The variables are the mixture lambda followed by the
+    values of g.  A given ``g`` is fixed, so only lambda is variable; a given
+    ``scenario`` index fixes lambda to that scenario, so only g is variable.
+    """
+    data = phi._span_data
+    rows = []
+    for e, paired, weighted in zip(data.subspace.basis, data.pairings, data.weighted):
+        if scenario is not None:
+            rows.append(LinearConstraint(weighted, "=", paired[scenario]))
+        elif g is not None:
+            rows.append(LinearConstraint(paired, "=", pairing(g, e)))
+        else:
+            rows.append(LinearConstraint(paired + tuple(-w for w in weighted), "=", _F0))
+    return rows
+
+
 @lru_cache(maxsize=128)
 def _conjugate_lp(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
-    basis = span_basis(phi.body)
     m = len(phi.scenarios)
-    rows = [LinearConstraint(tuple([_F1] * m), "=", _F1)]
-    for e in basis.basis:
-        coeffs = tuple(pairing(gj, e) for gj, _alpha in phi.scenarios)
-        rows.append(LinearConstraint(coeffs, "=", pairing(g, e)))
+    rows = [LinearConstraint(tuple([_F1] * m), "=", _F1), *_matching_rows(phi, g)]
     lp = LinearProgram.minimize(
         [alpha for _gj, alpha in phi.scenarios], rows, lower=[_F0] * m
     )
@@ -140,13 +181,8 @@ def extend(
     n = space.size
     m = len(phi.scenarios)
     mu = space.weights
-    basis = span_basis(phi.body)
     # variables: lambda_1..lambda_m, g_1..g_n
-    rows = [LinearConstraint(tuple([_F1] * m + [_F0] * n), "=", _F1)]
-    for e in basis.basis:
-        coeffs = [pairing(gj, e) for gj, _alpha in phi.scenarios]
-        coeffs += [-(mu[i] * e.values[i]) for i in range(n)]
-        rows.append(LinearConstraint(tuple(coeffs), "=", _F0))
+    rows = [LinearConstraint(tuple([_F1] * m + [_F0] * n), "=", _F1), *_matching_rows(phi)]
     objective = [alpha for _gj, alpha in phi.scenarios]
     objective += [-(mu[i] * f.values[i]) for i in range(n)]
     g_lower = _F0 if mode == "monotone" else None
@@ -168,16 +204,9 @@ def extend(
 
 def monotone_certifiable(phi: PolyhedralRiskFunction) -> bool:
     """Whether every scenario agrees on span(K) with a nonnegative dual point."""
-    space = phi.space
-    n = space.size
-    mu = space.weights
-    basis = span_basis(phi.body)
-    for gj, _alpha in phi.scenarios:
-        rows = []
-        for e in basis.basis:
-            coeffs = tuple(mu[i] * e.values[i] for i in range(n))
-            rows.append(LinearConstraint(coeffs, "=", pairing(gj, e)))
-        lp = LinearProgram.minimize([_F0] * n, rows, lower=[_F0] * n)
+    n = phi.space.size
+    for j in range(len(phi.scenarios)):
+        lp = LinearProgram.minimize([_F0] * n, _matching_rows(phi, scenario=j), lower=[_F0] * n)
         if solve(lp).status is not LPStatus.OPTIMAL:
             return False
     return True

@@ -28,6 +28,14 @@ on the same unbounded regions.
 ``is_singleton`` and ``nonsolidity_witness`` are the market scans that
 bounded every atom's mass before pinned atoms were skipped.  The library
 must return identical results.
+
+``conjugate``, ``extend`` and ``monotone_certifiable`` build their LP rows
+on every call, pairing each scenario with each basis vector of span(K) as
+``riskspan.risk`` did before a risk function kept that data on itself.
+``ky_fan_distance`` scans every jump and tail value as a candidate, each
+with its own tail sum, as ``riskspan.measure`` did before it sorted the
+distances once.  The library must return equal values and raise the same
+errors.
 """
 
 from __future__ import annotations
@@ -38,9 +46,12 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from riskspan import exactlp, linalg, market
+from riskspan.bodies import span_basis
 from riskspan.errors import CertificateError, PreconditionError
 from riskspan.exactlp import LinearConstraint, LinearProgram, LPOutcome, LPStatus
-from riskspan.measure import RandomVariable
+from riskspan.measure import RandomVariable, pairing
+from riskspan.rational import INF, ExtendedValue
+from riskspan.risk import PolyhedralRiskFunction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -609,3 +620,83 @@ def nonsolidity_witness(tree: market.MarketTree) -> Optional[market.Witness]:
         if low != high:
             return market.Witness((atom,), indicator, low, high, m_low, m_high)
     return None
+
+
+# ---------------------------------------------------------------------------
+# risk functions and the Ky-Fan metric
+
+
+def conjugate(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
+    """The conjugate LP, its rows paired afresh; not cached."""
+    basis = span_basis(phi.body)
+    m = len(phi.scenarios)
+    rows = [LinearConstraint(tuple([_F1] * m), "=", _F1)]
+    for e in basis.basis:
+        coeffs = tuple(pairing(gj, e) for gj, _alpha in phi.scenarios)
+        rows.append(LinearConstraint(coeffs, "=", pairing(g, e)))
+    lp = LinearProgram.minimize([alpha for _gj, alpha in phi.scenarios], rows, lower=[_F0] * m)
+    outcome = exactlp.solve(lp)
+    if outcome.status is LPStatus.INFEASIBLE:
+        return INF
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise CertificateError("conjugate LP reported unbounded over the scenario simplex")
+    return outcome.value
+
+
+def extend(phi: PolyhedralRiskFunction, f: RandomVariable, mode: str = "full") -> ExtendedValue:
+    """The extension LP over (lambda, g), its rows paired afresh."""
+    space = phi.space
+    n = space.size
+    m = len(phi.scenarios)
+    mu = space.weights
+    basis = span_basis(phi.body)
+    rows = [LinearConstraint(tuple([_F1] * m + [_F0] * n), "=", _F1)]
+    for e in basis.basis:
+        coeffs = [pairing(gj, e) for gj, _alpha in phi.scenarios]
+        coeffs += [-(mu[i] * e.values[i]) for i in range(n)]
+        rows.append(LinearConstraint(tuple(coeffs), "=", _F0))
+    objective = [alpha for _gj, alpha in phi.scenarios]
+    objective += [-(mu[i] * f.values[i]) for i in range(n)]
+    g_lower = _F0 if mode == "monotone" else None
+    lp = LinearProgram.minimize(objective, rows, lower=[_F0] * m + [g_lower] * n)
+    outcome = exactlp.solve(lp)
+    if outcome.status is LPStatus.UNBOUNDED:
+        return INF
+    if outcome.status is LPStatus.INFEASIBLE:
+        if mode == "full":
+            raise CertificateError("full-mode extension LP reported infeasible")
+        raise PreconditionError(
+            "no nonnegative dual point matches any scenario mixture on span(K); "
+            "the monotone extension is empty"
+        )
+    return -outcome.value
+
+
+def monotone_certifiable(phi: PolyhedralRiskFunction) -> bool:
+    """One feasibility LP per scenario, its rows paired afresh."""
+    n = phi.space.size
+    mu = phi.space.weights
+    basis = span_basis(phi.body)
+    for gj, _alpha in phi.scenarios:
+        rows = []
+        for e in basis.basis:
+            coeffs = tuple(mu[i] * e.values[i] for i in range(n))
+            rows.append(LinearConstraint(coeffs, "=", pairing(gj, e)))
+        lp = LinearProgram.minimize([_F0] * n, rows, lower=[_F0] * n)
+        if exactlp.solve(lp).status is not LPStatus.OPTIMAL:
+            return False
+    return True
+
+
+def ky_fan_distance(f: RandomVariable, g: RandomVariable) -> Fraction:
+    """The least feasible eps among the jumps, zero and their tail values."""
+    mu = f.space.weights
+    diffs = [abs(a - b) for a, b in zip(f.values, g.values)]
+
+    def tail(eps: Fraction) -> Fraction:
+        return sum((w for w, d in zip(mu, diffs) if d > eps), _F0)
+
+    candidates = {_F0}
+    candidates.update(diffs)
+    candidates.update(tail(t) for t in list(candidates))
+    return min(eps for eps in candidates if tail(eps) <= eps)

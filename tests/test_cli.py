@@ -122,6 +122,14 @@ class TestRiskCommands:
         assert report["result"]["value"] == "1/1"
         assert report["result"]["in_solid_hull"] is True
 
+    def test_options_do_not_carry_over_between_calls(self, capsys):
+        argv = ["risk-extend", "--input", fx("risk_span1.json"), "--point", "1,0"]
+        assert run_json(capsys, *argv, "--mode", "monotone")["options"]["mode"] == "monotone"
+        report = run_json(capsys, *argv)
+        assert report["options"]["mode"] == "full"
+        assert report["result"]["mode"] == "full"
+        assert report["result"]["value"] == "inf"
+
     def test_extend_full_blows_up(self, capsys):
         report = run_json(
             capsys, "risk-extend", "--input", fx("risk_span1.json"), "--point", "1,0"

@@ -5,7 +5,10 @@ field for field; the certificate gate must accept and reject the same intact
 and tampered certificates as the Fraction gate, with the same message; the
 eliminations must return equal ranks, row subsets, solutions and span
 answers; vertex enumeration must return the same sorted vertices as the
-brute force over every d-subset of rows.
+brute force over every d-subset of rows.  Risk functions that keep their
+span data must give the same conjugates, extensions and certifiability as
+rows paired afresh on every call, and the sorted Ky-Fan formula the same
+distances as the scan over every candidate.
 """
 
 import random
@@ -17,27 +20,42 @@ from typing import Iterator, Optional
 import pytest
 
 from riskspan import (
+    INF,
     CertificateError,
     LinearConstraint,
     LinearProgram,
     LPOutcome,
     LPStatus,
     PreconditionError,
+    RandomVariable,
     attainable,
+    conjugate,
     emm_set,
+    extend,
     gauge,
+    ky_fan_distance,
     linalg,
+    monotone_certifiable,
     nonsolidity_witness,
     polar_gauge,
     record_outcomes,
     solid_hull_member,
     solve,
+    span_basis,
     verify_outcome,
     vertex_enumeration,
 )
 
 import fraction_reference as ref
-from support import random_body, random_rv, random_space, random_tree
+from support import (
+    random_body,
+    random_fraction,
+    random_risk,
+    random_rv,
+    random_space,
+    random_span_point,
+    random_tree,
+)
 
 
 def _assert_same(lp: LinearProgram) -> LPStatus:
@@ -467,3 +485,71 @@ def test_vertex_enumeration_on_rows_with_mixed_denominators():
         seen["rational rhs"] += any(con.rhs.denominator > 1 for con in rows)
         seen["fractional vertex"] += any(v.denominator > 1 for point in got for v in point)
     assert min(seen["mixed rows"], seen["rational rhs"], seen["fractional vertex"]) >= 50, seen
+
+
+def _result(fn, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (CertificateError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_risk_span_data_matches_rows_paired_per_call():
+    rnd = random.Random(616)
+    seen: Counter = Counter()
+    for _ in range(200):
+        space = random_space(rnd, rnd.randint(1, 4))
+        phi = random_risk(rnd, space)
+        certifiable = monotone_certifiable(phi)
+        assert certifiable == ref.monotone_certifiable(phi)
+        seen["certifiable"] += certifiable
+        mixture = RandomVariable.zero(space)
+        for g, _alpha in phi.scenarios:
+            mixture = mixture + g.scaled(Fraction(1, len(phi.scenarios)))
+        for g in (phi.scenarios[0][0], mixture, random_rv(rnd, space)):
+            value = conjugate(phi, g)
+            assert value == ref.conjugate(phi, g)
+            seen["finite conjugate"] += value is not INF
+        on_span = random_span_point(rnd, phi.body)
+        off_span = random_rv(rnd, space)
+        seen["off span"] += not span_basis(phi.body).contains(off_span)
+        for f in (on_span, off_span):
+            for mode in ("full", "monotone"):
+                got = _result(extend, phi, f, mode)
+                assert got == _result(ref.extend, phi, f, mode)
+                seen[mode, "inf" if got is INF else type(got).__name__] += 1
+    assert seen["certifiable"] >= 20 and seen["finite conjugate"] >= 200, seen
+    assert seen["off span"] >= 50 and seen["monotone", "tuple"] >= 20, seen
+    assert seen["full", "inf"] >= 50 and seen["monotone", "Fraction"] >= 50, seen
+
+
+def test_subspace_contains_matches_in_span_on_the_basis_rows():
+    rnd = random.Random(617)
+    for _ in range(300):
+        body = random_body(rnd, random_space(rnd, rnd.randint(1, 5)), 4)
+        sub = span_basis(body)
+        rows = [list(b.values) for b in sub.basis]
+        for x in (random_span_point(rnd, body), random_rv(rnd, body.space)):
+            assert sub.contains(x) == linalg.in_span(rows, list(x.values))
+            assert sub.contains(x) == ref.in_span(rows, list(x.values))
+
+
+def test_ky_fan_formula_matches_the_candidate_scan():
+    rnd = random.Random(618)
+    seen: Counter = Counter()
+    for _ in range(2500):
+        space = random_space(rnd, rnd.randint(1, 7))
+        f = random_rv(rnd, space)
+        # Distances from a short list, so ties and zeros are common.
+        steps = [Fraction(0), Fraction(1, 4), Fraction(1, 2), random_fraction(rnd, 0, 3)]
+        g = RandomVariable(
+            space, tuple(v + rnd.choice((1, -1)) * rnd.choice(steps) for v in f.values)
+        )
+        assert ky_fan_distance(f, g) == ref.ky_fan_distance(f, g)
+        diffs = [abs(a - b) for a, b in zip(f.values, g.values)]
+        seen["one atom"] += space.size == 1
+        seen["tie"] += len(set(diffs)) < len(diffs)
+        seen["zero distance"] += 0 in diffs
+        seen["f = g"] += f == g
+    assert min(seen.values()) >= 100, seen

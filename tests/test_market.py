@@ -110,6 +110,17 @@ class TestTreeValidation:
         # Lookups write nothing back into the tree.
         assert vars(tree) == state
 
+    def test_tree_is_frozen_after_construction(self):
+        tree = trinomial_tree()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.space = binomial_tree().space
+        with pytest.raises(AttributeError):
+            del tree.nodes
+        with pytest.raises(AttributeError):
+            tree.extra = 1
+        assert tree.space.atoms == ("u", "v", "w") and len(tree.nodes) == 4
+        assert emm_set(tree).vertices() == emm_set(trinomial_tree()).vertices()
+
 
 class TestEmmSet:
     def test_binomial_unique_measure(self):

@@ -1,10 +1,12 @@
 """Polyhedral risk functions: evaluation, conjugacy, extensions, Fatou probe."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
+import riskspan.risk
 from riskspan import (
     INF,
     AbsolutelyConvexBody,
@@ -22,6 +24,7 @@ from riskspan import (
     gauge,
     monotone_certifiable,
     pairing,
+    span_basis,
 )
 from support import random_risk, random_space, random_span_point
 
@@ -272,3 +275,72 @@ class TestConvexityAlongSegments:
                 if px is INF or py is INF:
                     continue
                 assert 2 * pm <= px + py
+
+
+def three_atom_risk():
+    """Three scenarios over a two-dimensional span on three atoms."""
+    sp = FiniteProbabilitySpace.of(["a", "b", "c"], ["1/2", "1/3", "1/6"])
+    body = AbsolutelyConvexBody.of(sp, [[1, 1, 0], [0, 1, -2], [1, 2, -2]])
+    return PolyhedralRiskFunction.of(
+        body, [([2, 0, 1], 0), ([0, 3, -1], "1/2"), ([1, 1, 1], "-1/3")]
+    )
+
+
+class TestSpanDataBuiltOnce:
+    def test_pairings_counted_per_call(self, monkeypatch):
+        calls = []
+        real = riskspan.risk.pairing
+
+        def counting(f, g):
+            calls.append(1)
+            return real(f, g)
+
+        monkeypatch.setattr(riskspan.risk, "pairing", counting)
+        riskspan.risk._conjugate_lp.cache_clear()
+        phi = three_atom_risk()
+        m, d = len(phi.scenarios), span_basis(phi.body).dimension
+        on_span = RandomVariable.of(phi.space, [1, 3, -4])
+
+        def count(fn, *args) -> int:
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        # The first call pairs every scenario with every basis vector, once.
+        assert count(evaluate, phi, on_span) == m * d + m
+        assert count(evaluate, phi, on_span) == m
+        assert count(extend, phi, on_span, "full") == 0
+        assert count(extend, phi, on_span, "monotone") == 0
+        assert count(monotone_certifiable, phi) == 0
+        assert count(conjugate, phi, RandomVariable.of(phi.space, [1, 2, 0])) == d
+
+    def test_concurrent_first_use_matches_a_sequential_run(self):
+        sp = uniform(3)
+        points = [RandomVariable.of(sp, values) for values in ([1, 2, 0], [3, 0, 1], [0, 1, 1])]
+
+        def analyse(phi):
+            return [
+                (evaluate(phi, f), extend(phi, f, "full"), conjugate(phi, f)) for f in points
+            ]
+
+        def fresh():
+            body = AbsolutelyConvexBody.of(sp, [[1, 1, 0], [0, 1, 1]])
+            return PolyhedralRiskFunction.of(body, [([2, 1, 0], 0), ([0, 1, 2], "1/2")])
+
+        expected = analyse(fresh())
+        riskspan.risk._conjugate_lp.cache_clear()
+        phi = fresh()
+        barrier = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def worker(k):
+            barrier.wait()
+            results[k] = analyse(phi)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
