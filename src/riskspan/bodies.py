@@ -138,16 +138,6 @@ def _sign_patterns(support: list[int]) -> Iterable[tuple[int, ...]]:
     return ((1,) + rest for rest in product((1, -1), repeat=len(support) - 1))
 
 
-def _sign_flips(v: RandomVariable) -> Iterable[tuple[Fraction, ...]]:
-    """|v| under every sign pattern over its support, one per +/- pair."""
-    support = [i for i, val in enumerate(v.values) if val != 0]
-    for pattern in _sign_patterns(support):
-        values = [_F0] * len(v.values)
-        for s, i in zip(pattern, support):
-            values[i] = s * abs(v.values[i])
-        yield tuple(values)
-
-
 def solid_hull_member(
     body: AbsolutelyConvexBody, f: RandomVariable
 ) -> tuple[bool, Optional[RandomVariable]]:
@@ -212,14 +202,26 @@ def solid_check(
 ) -> tuple[bool, Optional[RandomVariable]]:
     """Whether K is solid; on failure returns a point of sol(K) outside K.
 
-    K is solid iff every sign flip of |v| stays in K for every generator v:
-    boxes over generators generate all boxes by convexity and coordinatewise
-    clipping (cross-checked against a brute-force oracle in the test suite).
-    Membership is symmetric under x -> -x, so one flip per +/- pair is tested.
+    Let T_i negate coordinate i.  K is solid iff T_i v lies in K for every
+    generator v and every atom i where v is nonzero:
+    - T_i is linear, so T_i K is inside K iff every T_i v is in K;
+    - the single flips T_i generate every sign flip;
+    - a convex set holding every sign flip of g holds the box [-|g|, |g|],
+      which is the convex hull of those flips.
+    A failing flip has |T_i v| = |v|, so it lies in sol(K) outside K; it is
+    mirrored to lead with a positive entry (K = -K).  At most n*m gauge LPs.
     """
     for v in body.generators:
-        for values in _sign_flips(v):
-            candidate = RandomVariable(body.space, values)
+        support = [i for i, val in enumerate(v.values) if val != 0]
+        if len(support) < 2:
+            continue  # the one flip is -v
+        # On two atoms the second flip mirrors the first.
+        for i in support[:1] if len(support) == 2 else support:
+            values = list(v.values)
+            values[i] = -values[i]
+            if values[support[0]] < 0:
+                values = [-x for x in values]
+            candidate = RandomVariable(body.space, tuple(values))
             if not member(body, candidate):
                 return False, candidate
     return True, None
@@ -233,10 +235,15 @@ def solid_hull(body: AbsolutelyConvexBody) -> AbsolutelyConvexBody:
     seen: set[tuple[Fraction, ...]] = set()
     hull: list[RandomVariable] = []
     for v in body.generators:
-        if v.is_zero():
+        support = [i for i, val in enumerate(v.values) if val != 0]
+        if not support:
             continue
-        for values in _sign_flips(v):
-            if values not in seen:
-                seen.add(values)
-                hull.append(RandomVariable(body.space, values))
+        for pattern in _sign_patterns(support):
+            values = [_F0] * len(v.values)
+            for s, i in zip(pattern, support):
+                values[i] = s * abs(v.values[i])
+            flip = tuple(values)
+            if flip not in seen:
+                seen.add(flip)
+                hull.append(RandomVariable(body.space, flip))
     return AbsolutelyConvexBody(body.space, tuple(hull))

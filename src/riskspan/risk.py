@@ -32,9 +32,8 @@ FATOU_MIN_TAIL = 8
 
 
 class _SpanData(NamedTuple):
-    """span(K) and how the scenarios pair with it, one entry per basis vector e."""
+    """How the scenarios pair with span(K), one entry per basis vector e."""
 
-    subspace: Subspace
     # pairing(g_j, e) over the scenarios g_j
     pairings: tuple[tuple[Fraction, ...], ...]
     # mu_i * e_i over the atoms: pairing(g, e) as a row over the values of g
@@ -72,14 +71,18 @@ class PolyhedralRiskFunction:
         return self.body.space
 
     @cached_property
+    def _subspace(self) -> Subspace:
+        """span(K), kept on the value, which never changes; all ``evaluate`` needs."""
+        return span_basis(self.body)
+
+    @cached_property
     def _span_data(self) -> _SpanData:
-        """Built on first use and kept on the value, which never changes."""
-        subspace = span_basis(self.body)
+        """Built on first use by the LP operations and kept on the value."""
+        basis = self._subspace.basis
         mu = self.space.weights
         return _SpanData(
-            subspace,
-            tuple(tuple(pairing(g, e) for g, _alpha in self.scenarios) for e in subspace.basis),
-            tuple(tuple(w * v for w, v in zip(mu, e.values)) for e in subspace.basis),
+            tuple(tuple(pairing(g, e) for g, _alpha in self.scenarios) for e in basis),
+            tuple(tuple(w * v for w, v in zip(mu, e.values)) for e in basis),
         )
 
 
@@ -87,7 +90,7 @@ def evaluate(phi: PolyhedralRiskFunction, f: RandomVariable) -> ExtendedValue:
     """max_j(pairing(f, g_j) - alpha_j) on span(K); INF off the span."""
     if f.space != phi.space:
         raise SpaceMismatchError("point lives on a different space")
-    if not phi._span_data.subspace.contains(f):
+    if not phi._subspace.contains(f):
         return INF
     return max(pairing(f, g) - alpha for g, alpha in phi.scenarios)
 
@@ -117,7 +120,7 @@ def _matching_rows(
     """
     data = phi._span_data
     rows = []
-    for e, paired, weighted in zip(data.subspace.basis, data.pairings, data.weighted):
+    for e, paired, weighted in zip(phi._subspace.basis, data.pairings, data.weighted):
         if scenario is not None:
             rows.append(LinearConstraint(weighted, "=", paired[scenario]))
         elif g is not None:

@@ -36,17 +36,23 @@ on every call, pairing each scenario with each basis vector of span(K) as
 with its own tail sum, as ``riskspan.measure`` did before it sorted the
 distances once.  The library must return equal values and raise the same
 errors.
+
+``solid_check`` tests every sign flip of every generator, one per +/- pair,
+as ``riskspan.bodies`` did before it tested only the single-coordinate
+flips (2^(s-1) membership LPs for a support of size s, against at most s).
+The library must return the same verdict; its counterexample may be a
+different point of sol(K) outside K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from riskspan import exactlp, linalg, market
-from riskspan.bodies import span_basis
+from riskspan.bodies import AbsolutelyConvexBody, member, span_basis
 from riskspan.errors import CertificateError, PreconditionError
 from riskspan.exactlp import LinearConstraint, LinearProgram, LPOutcome, LPStatus
 from riskspan.measure import RandomVariable, pairing
@@ -620,6 +626,24 @@ def nonsolidity_witness(tree: market.MarketTree) -> Optional[market.Witness]:
         if low != high:
             return market.Witness((atom,), indicator, low, high, m_low, m_high)
     return None
+
+
+# ---------------------------------------------------------------------------
+# bodies
+
+
+def solid_check(body: AbsolutelyConvexBody) -> tuple[bool, Optional[RandomVariable]]:
+    """Every sign flip of |v| per generator, leading with a positive entry."""
+    for v in body.generators:
+        support = [i for i, val in enumerate(v.values) if val != 0]
+        for rest in product((1, -1), repeat=max(len(support) - 1, 0)):
+            values = [_F0] * len(v.values)
+            for s, i in zip((1,) + rest, support):
+                values[i] = s * abs(v.values[i])
+            candidate = RandomVariable(body.space, tuple(values))
+            if not member(body, candidate):
+                return False, candidate
+    return True, None
 
 
 # ---------------------------------------------------------------------------

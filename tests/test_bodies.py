@@ -244,8 +244,12 @@ class TestSolidCheck:
         assert solid_check(cross_body(uniform(2))) == (True, None)
 
     def test_diag_is_not_solid(self):
-        solid, counter = solid_check(diag_body(uniform(2)))
+        # On two atoms the second single flip mirrors the first: one LP.
+        with record_outcomes([]) as lps:
+            solid, counter = solid_check(diag_body(uniform(2)))
         assert not solid
+        assert counter == RandomVariable.of(uniform(2), [1, -1])
+        assert len(lps) == 1
         one = RandomVariable.of(uniform(2), [1, 1])
         assert one.dominates(counter)
         assert not member(diag_body(uniform(2)), counter)
@@ -253,6 +257,17 @@ class TestSolidCheck:
     def test_axis_generator_is_solid(self):
         sp = uniform(2)
         assert solid_check(AbsolutelyConvexBody.of(sp, [[1, 0]])) == (True, None)
+
+    def test_one_lp_per_single_flip_with_no_support_cap(self):
+        # e_1..e_13 need no LP; (1/13)*1 has 13 single flips, each in the
+        # cross-polytope.  13 atoms of support is above the sign-pattern cap.
+        n = 13
+        sp = uniform(n)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows.append([Fraction(1, n)] * n)
+        with record_outcomes([]) as lps:
+            assert solid_check(AbsolutelyConvexBody.of(sp, rows)) == (True, None)
+        assert len(lps) == n
 
     def test_box_criterion_against_brute_force(self):
         # Oracle: K is solid iff sampled coordinate shrink/flips of members stay in K.

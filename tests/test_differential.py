@@ -8,7 +8,10 @@ answers; vertex enumeration must return the same sorted vertices as the
 brute force over every d-subset of rows.  Risk functions that keep their
 span data must give the same conjugates, extensions and certifiability as
 rows paired afresh on every call, and the sorted Ky-Fan formula the same
-distances as the scan over every candidate.
+distances as the scan over every candidate.  The single-flip solidity test
+must reach the same verdict as the test of every sign flip, with a
+counterexample that is a mirrored single flip of a generator in sol(K)
+outside K.
 """
 
 import random
@@ -35,10 +38,13 @@ from riskspan import (
     gauge,
     ky_fan_distance,
     linalg,
+    member,
     monotone_certifiable,
     nonsolidity_witness,
     polar_gauge,
     record_outcomes,
+    solid_check,
+    solid_hull,
     solid_hull_member,
     solve,
     span_basis,
@@ -553,3 +559,41 @@ def test_ky_fan_formula_matches_the_candidate_scan():
         seen["zero distance"] += 0 in diffs
         seen["f = g"] += f == g
     assert min(seen.values()) >= 100, seen
+
+
+def _mirrored_single_flips(v: RandomVariable) -> set:
+    """v with one support entry negated, and the mirror of each."""
+    flips = set()
+    for i, value in enumerate(v.values):
+        if value != 0:
+            values = list(v.values)
+            values[i] = -value
+            flips.add(tuple(values))
+            flips.add(tuple(-x for x in values))
+    return flips
+
+
+def test_solid_check_matches_the_all_flips_oracle():
+    rnd = random.Random(626)
+    seen: Counter = Counter()
+    for trial in range(300):
+        if trial % 3 == 2:
+            # A hull has up to 2^(n-1) generators per generator of the body;
+            # the oracle tests every flip of each.
+            body = solid_hull(random_body(rnd, random_space(rnd, rnd.randint(1, 4)), 2))
+        else:
+            body = random_body(rnd, random_space(rnd, rnd.randint(1, 5)), 3)
+        space = body.space
+        with record_outcomes([]) as lps:
+            verdict, counter = solid_check(body)
+        assert verdict == ref.solid_check(body)[0]
+        assert len(lps) <= space.size * len(body.generators)
+        seen["solid" if verdict else "not solid"] += 1
+        if verdict:
+            assert counter is None
+            continue
+        assert solid_hull_member(body, counter)[0]
+        assert not member(body, counter)
+        assert next(x for x in counter.values if x != 0) > 0
+        assert any(counter.values in _mirrored_single_flips(v) for v in body.generators)
+    assert min(seen["solid"], seen["not solid"]) >= 100, seen

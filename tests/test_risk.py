@@ -306,10 +306,11 @@ class TestSpanDataBuiltOnce:
             fn(*args)
             return len(calls)
 
-        # The first call pairs every scenario with every basis vector, once.
-        assert count(evaluate, phi, on_span) == m * d + m
+        # evaluate needs only span(K); the first LP operation pairs every
+        # scenario with every basis vector, once.
         assert count(evaluate, phi, on_span) == m
-        assert count(extend, phi, on_span, "full") == 0
+        assert count(evaluate, phi, on_span) == m
+        assert count(extend, phi, on_span, "full") == m * d
         assert count(extend, phi, on_span, "monotone") == 0
         assert count(monotone_certifiable, phi) == 0
         assert count(conjugate, phi, RandomVariable.of(phi.space, [1, 2, 0])) == d
