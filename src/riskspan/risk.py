@@ -4,6 +4,13 @@ A risk function is stored by its dual data: finitely many scenarios g_j with
 penalties alpha_j, meaning max_j(pairing(f, g_j) - alpha_j) on span(K) and
 +inf off it.  The Fenchel conjugate, the dual-representation evaluator and
 the two extension operators are all exact LPs over that data.
+
+A risk function keeps what it derives from its data on itself, built on
+first use: span(K); one integer table holding D * mu_i * g_j(i) and
+D * alpha_j over one positive denominator D, from which ``evaluate`` reads
+max_j(pairing(f, g_j) - alpha_j) as a single ``Fraction``; and the LP rows
+over span(K), paired with integer dot products.  Its hash is computed once,
+so the conjugate cache does not walk the body and scenarios on every hit.
 """
 
 from __future__ import annotations
@@ -11,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from . import linalg
 from .bodies import AbsolutelyConvexBody, Subspace, gauge, span_basis
 from .errors import (
     CertificateError,
@@ -31,6 +40,16 @@ _F1 = Fraction(1)
 FATOU_MIN_TAIL = 8
 
 
+class _Table(NamedTuple):
+    """The dual data as integers over one positive denominator ``den``."""
+
+    # den * mu_i * g_j(i) over the atoms, one row per scenario g_j
+    rows: tuple[tuple[int, ...], ...]
+    # den * alpha_j over the scenarios
+    penalties: tuple[int, ...]
+    den: int
+
+
 class _SpanData(NamedTuple):
     """How the scenarios pair with span(K), one entry per basis vector e."""
 
@@ -38,6 +57,8 @@ class _SpanData(NamedTuple):
     pairings: tuple[tuple[Fraction, ...], ...]
     # mu_i * e_i over the atoms: pairing(g, e) as a row over the values of g
     weighted: tuple[tuple[Fraction, ...], ...]
+    # e as integers over a positive denominator, for pairing(g, e) with g fixed
+    scaled: tuple[tuple[list[int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -66,33 +87,76 @@ class PolyhedralRiskFunction:
         )
         return cls(body, pairs)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # An atom label hashes differently under another PYTHONHASHSEED, so
+        # a pickled or copied value computes its own hash.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     @property
     def space(self):
         return self.body.space
 
     @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: the conjugate cache key hashes phi."""
+        return hash((self.body, self.scenarios))
+
+    @cached_property
     def _subspace(self) -> Subspace:
-        """span(K), kept on the value, which never changes; all ``evaluate`` needs."""
+        """span(K), kept on the value, which never changes."""
         return span_basis(self.body)
+
+    @cached_property
+    def _table(self) -> _Table:
+        """The scenarios weighted by mu, and the penalties, scaled to integers once."""
+        mu = self.space.weights
+        flat = [w * v for g, _alpha in self.scenarios for w, v in zip(mu, g.values)]
+        flat += [alpha for _g, alpha in self.scenarios]
+        ints, den = linalg._scaled(flat)
+        n, m = len(mu), len(self.scenarios)
+        rows = tuple(tuple(ints[j * n : (j + 1) * n]) for j in range(m))
+        return _Table(rows, tuple(ints[m * n :]), den)
 
     @cached_property
     def _span_data(self) -> _SpanData:
         """Built on first use by the LP operations and kept on the value."""
-        basis = self._subspace.basis
+        table = self._table
         mu = self.space.weights
+        basis = self._subspace.basis
+        scaled = tuple(linalg._scaled(e.values) for e in basis)
         return _SpanData(
-            tuple(tuple(pairing(g, e) for g, _alpha in self.scenarios) for e in basis),
+            tuple(
+                tuple(Fraction(sum(map(mul, row, ints)), den * table.den) for row in table.rows)
+                for ints, den in scaled
+            ),
             tuple(tuple(w * v for w, v in zip(mu, e.values)) for e in basis),
+            scaled,
         )
 
 
 def evaluate(phi: PolyhedralRiskFunction, f: RandomVariable) -> ExtendedValue:
-    """max_j(pairing(f, g_j) - alpha_j) on span(K); INF off the span."""
+    """max_j(pairing(f, g_j) - alpha_j) on span(K); INF off the span.
+
+    With f = F / d and the table's rows W_j and penalties A_j over D, each
+    term is (W_j . F - A_j * d) / (D * d): integer dot products and one
+    ``Fraction``.
+    """
     if f.space != phi.space:
         raise SpaceMismatchError("point lives on a different space")
     if not phi._subspace.contains(f):
         return INF
-    return max(pairing(f, g) - alpha for g, alpha in phi.scenarios)
+    table = phi._table
+    values, den = linalg._scaled(f.values)
+    best = max(
+        sum(map(mul, row, values)) - alpha * den
+        for row, alpha in zip(table.rows, table.penalties)
+    )
+    return Fraction(best, table.den * den)
 
 
 def conjugate(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:
@@ -119,12 +183,15 @@ def _matching_rows(
     ``scenario`` index fixes lambda to that scenario, so only g is variable.
     """
     data = phi._span_data
+    if g is not None:
+        values, den = linalg._scaled([w * v for w, v in zip(phi.space.weights, g.values)])
     rows = []
-    for e, paired, weighted in zip(phi._subspace.basis, data.pairings, data.weighted):
+    for paired, weighted, (ints, eden) in zip(data.pairings, data.weighted, data.scaled):
         if scenario is not None:
             rows.append(LinearConstraint(weighted, "=", paired[scenario]))
         elif g is not None:
-            rows.append(LinearConstraint(paired, "=", pairing(g, e)))
+            rhs = Fraction(sum(map(mul, ints, values)), eden * den)
+            rows.append(LinearConstraint(paired, "=", rhs))
         else:
             rows.append(LinearConstraint(paired + tuple(-w for w in weighted), "=", _F0))
     return rows

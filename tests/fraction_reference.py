@@ -29,8 +29,11 @@ on the same unbounded regions.
 bounded every atom's mass before pinned atoms were skipped.  The library
 must return identical results.
 
-``conjugate``, ``extend`` and ``monotone_certifiable`` build their LP rows
-on every call, pairing each scenario with each basis vector of span(K) as
+``evaluate`` pairs the point with every scenario through ``Fraction``
+products, as ``riskspan.risk`` did before a risk function kept its
+scenarios and penalties as one integer table.  ``conjugate``, ``extend``
+and ``monotone_certifiable`` build their LP rows on every call, pairing each
+scenario with each basis vector of span(K) with ``Fraction`` products, as
 ``riskspan.risk`` did before a risk function kept that data on itself.
 ``ky_fan_distance`` scans every jump and tail value as a candidate, each
 with its own tail sum, as ``riskspan.measure`` did before it sorted the
@@ -648,6 +651,13 @@ def solid_check(body: AbsolutelyConvexBody) -> tuple[bool, Optional[RandomVariab
 
 # ---------------------------------------------------------------------------
 # risk functions and the Ky-Fan metric
+
+
+def evaluate(phi: PolyhedralRiskFunction, f: RandomVariable) -> ExtendedValue:
+    """max_j(pairing(f, g_j) - alpha_j) on span(K) with Fraction pairings; INF off it."""
+    if not span_basis(phi.body).contains(f):
+        return INF
+    return max(pairing(f, g) - alpha for g, alpha in phi.scenarios)
 
 
 def conjugate(phi: PolyhedralRiskFunction, g: RandomVariable) -> ExtendedValue:

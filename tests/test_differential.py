@@ -34,6 +34,7 @@ from riskspan import (
     attainable,
     conjugate,
     emm_set,
+    evaluate,
     extend,
     gauge,
     ky_fan_distance,
@@ -528,6 +529,34 @@ def test_risk_span_data_matches_rows_paired_per_call():
     assert seen["certifiable"] >= 20 and seen["finite conjugate"] >= 200, seen
     assert seen["off span"] >= 50 and seen["monotone", "tuple"] >= 20, seen
     assert seen["full", "inf"] >= 50 and seen["monotone", "Fraction"] >= 50, seen
+
+
+def test_integer_evaluate_matches_the_fraction_pairings():
+    rnd = random.Random(627)
+    seen: Counter = Counter()
+    for _ in range(300):
+        space = random_space(rnd, rnd.randint(1, 5))
+        phi = random_risk(rnd, space, max_scenarios=4)
+        # Denominators up to 7 that the weights, scenarios and penalties lack.
+        scale = Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
+        on_span = random_span_point(rnd, phi.body).scaled(scale)
+        rows = [list(g.values) for g in phi.body.generators]
+        for f in (on_span, random_rv(rnd, space)):
+            value = evaluate(phi, f)
+            assert value == ref.evaluate(phi, f)
+            if ref.in_span(rows, list(f.values)):
+                assert type(value) is Fraction
+                seen["on span"] += 1
+            else:
+                assert value is INF
+                seen["off span"] += 1
+        denominators = {w.denominator for w in space.weights}
+        denominators.update(v.denominator for v in on_span.values)
+        seen["mixed denominators"] += len(denominators) > 2
+        seen["negative penalty"] += any(alpha < 0 for _g, alpha in phi.scenarios)
+        seen["several scenarios"] += len(phi.scenarios) > 1
+    assert seen["on span"] >= 300 and seen["off span"] >= 50, seen
+    assert min(seen.values()) >= 100, seen
 
 
 def test_subspace_contains_matches_in_span_on_the_basis_rows():

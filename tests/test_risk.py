@@ -1,8 +1,14 @@
 """Polyhedral risk functions: evaluation, conjugacy, extensions, Fatou probe."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +30,7 @@ from riskspan import (
     gauge,
     monotone_certifiable,
     pairing,
-    span_basis,
+    record_outcomes,
 )
 from support import random_risk, random_space, random_span_point
 
@@ -298,22 +304,22 @@ class TestSpanDataBuiltOnce:
         monkeypatch.setattr(riskspan.risk, "pairing", counting)
         riskspan.risk._conjugate_lp.cache_clear()
         phi = three_atom_risk()
-        m, d = len(phi.scenarios), span_basis(phi.body).dimension
         on_span = RandomVariable.of(phi.space, [1, 3, -4])
+        duals = [g for g, _alpha in phi.scenarios]
 
         def count(fn, *args) -> int:
             calls.clear()
             fn(*args)
             return len(calls)
 
-        # evaluate needs only span(K); the first LP operation pairs every
-        # scenario with every basis vector, once.
-        assert count(evaluate, phi, on_span) == m
-        assert count(evaluate, phi, on_span) == m
-        assert count(extend, phi, on_span, "full") == m * d
+        # evaluate and the LP rows read the integer table of the scenarios;
+        # only dual_rep_evaluate pairs the point with each dual point.
+        assert count(evaluate, phi, on_span) == 0
+        assert count(extend, phi, on_span, "full") == 0
         assert count(extend, phi, on_span, "monotone") == 0
         assert count(monotone_certifiable, phi) == 0
-        assert count(conjugate, phi, RandomVariable.of(phi.space, [1, 2, 0])) == d
+        assert count(conjugate, phi, RandomVariable.of(phi.space, [1, 2, 0])) == 0
+        assert count(dual_rep_evaluate, phi, on_span, duals) == len(duals)
 
     def test_concurrent_first_use_matches_a_sequential_run(self):
         sp = uniform(3)
@@ -345,3 +351,59 @@ class TestSpanDataBuiltOnce:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
+
+
+# Builds a risk function on labelled atoms, whose hashes depend on PYTHONHASHSEED.
+_BUILD = """
+from riskspan import AbsolutelyConvexBody, FiniteProbabilitySpace, PolyhedralRiskFunction
+space = FiniteProbabilitySpace.of(["up", "mid", "down"], ["1/2", "1/3", "1/6"])
+body = AbsolutelyConvexBody.of(space, [[1, 1, 0], [0, 1, -2]])
+phi = PolyhedralRiskFunction.of(body, [([2, 0, 1], 0), ([0, 3, -1], "1/2")])
+"""
+
+
+def _python(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout
+
+
+class TestHash:
+    def test_equal_values_hash_equal(self):
+        first, second = three_atom_risk(), three_atom_risk()
+        assert first is not second and first == second
+        assert hash(first) == hash(second) == hash((first.body, first.scenarios))
+
+    def test_conjugate_on_an_equal_value_is_a_cache_hit(self):
+        riskspan.risk._conjugate_lp.cache_clear()
+        g = RandomVariable.of(three_atom_risk().space, [1, 2, 0])
+        value = conjugate(three_atom_risk(), g)
+        with record_outcomes([]) as lps:
+            assert conjugate(three_atom_risk(), g) == value
+        assert lps == []
+
+    def test_pickle_and_copy_leave_the_cached_hash_behind(self):
+        phi = three_atom_risk()
+        hash(phi)
+        assert "_hash" not in pickle.loads(pickle.dumps(phi)).__dict__
+        assert "_hash" not in copy.copy(phi).__dict__
+
+    def test_hash_agrees_with_equality_across_hash_seeds(self):
+        dumped = _python(
+            _BUILD + "import pickle, sys\n"
+            "hash(phi)\n"
+            "sys.stdout.buffer.write(pickle.dumps(phi))\n",
+            hash_seed="1",
+        )
+        verdict = _python(
+            _BUILD + "import pickle, sys\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(loaded == phi, hash(loaded) == hash(phi), loaded in {phi})\n",
+            hash_seed="2",
+            stdin=dumped,
+        )
+        assert verdict.split() == [b"True", b"True", b"True"]
