@@ -6,12 +6,22 @@ ordered by leaf id.  Prices are already discounted.  The set of equivalent
 martingale measures is open; every optimisation here runs over its closure,
 which is harmless because constancy of a linear functional over the closure
 equals constancy over the (dense) set itself.
+
+A tree never changes after construction, so what is derived from it is
+computed on first use and kept: the tree keeps its martingale measure set
+(``emm_set``) and its viability certificate (one LP,
+``viability_certificate``), and the set keeps its unpinned atoms and its
+first split atom (the bounds LPs behind ``is_singleton`` and
+``nonsolidity_witness``).  Every later analysis of the same tree reuses
+them, so ``record_outcomes`` sees each of those LPs once per tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
@@ -120,6 +130,17 @@ class MarketTree:
     def leaves_below(self, node_id: str) -> tuple[str, ...]:
         return self._leaves_below[node_id]
 
+    # cached_property writes to vars(self) directly, past __setattr__.
+    @cached_property
+    def _emm(self) -> MartingaleMeasureSet:
+        """The martingale measure set, built on first use."""
+        return MartingaleMeasureSet(self.space, tuple(row for _label, row in _gain_vectors(self)))
+
+    @cached_property
+    def _viability(self) -> tuple[Fraction, Optional[Measure]]:
+        """The viability LP's slack and measure, solved on first use."""
+        return _viability_lp(self)
+
 
 @dataclass(frozen=True)
 class StrategyBasis:
@@ -171,7 +192,8 @@ class MartingaleMeasureSet:
             Measure(self.space, hi.point),
         )
 
-    def _unpinned_atoms(self) -> Iterator[tuple[str, RandomVariable]]:
+    @cached_property
+    def _unpinned(self) -> tuple[tuple[str, RandomVariable], ...]:
         """Atoms whose mass the equality rows leave free, with their indicators.
 
         In atom order.  An atom is pinned when its indicator lies in the row
@@ -180,10 +202,25 @@ class MartingaleMeasureSet:
         """
         # One echelon form of the rows; each indicator is reduced against it.
         kept = linalg._echelon([con.coefficients for con in self.lp_constraints()])
+        unpinned = []
         for atom in self.space.atoms:
             indicator = RandomVariable.indicator(self.space, [atom])
             if any(linalg._reduce(kept, linalg._scaled(indicator.values)[0])):
-                yield atom, indicator
+                unpinned.append((atom, indicator))
+        return tuple(unpinned)
+
+    @cached_property
+    def _first_split(self) -> Optional[Witness]:
+        """The first unpinned atom whose mass the bounds split, or None.
+
+        Solves two bounds LPs per unpinned atom up to the first split, and
+        raises PreconditionError (from ``bounds``) if the closure is empty.
+        """
+        for atom, indicator in self._unpinned:
+            low, high, m_low, m_high = self.bounds(indicator)
+            if low != high:
+                return Witness((atom,), indicator, low, high, m_low, m_high)
+        return None
 
     def is_singleton(self) -> bool:
         """Whether the closure is one point; raises PreconditionError if empty.
@@ -192,12 +229,9 @@ class MartingaleMeasureSet:
         {Aq = b} is at most one point, and the closure is that point if its
         masses are nonnegative.
         """
-        unpinned = [indicator for _atom, indicator in self._unpinned_atoms()]
-        for indicator in unpinned:
-            low, high, _m1, _m2 = self.bounds(indicator)
-            if low != high:
-                return False
-        if not unpinned:
+        if self._first_split is not None:
+            return False
+        if not self._unpinned:
             rows = self.lp_constraints()
             point = linalg.solve_exact(
                 [con.coefficients for con in rows], [con.rhs for con in rows]
@@ -260,8 +294,11 @@ def _gain_vectors(tree: MarketTree) -> Iterator[tuple[str, tuple[Fraction, ...]]
 
 
 def emm_set(tree: MarketTree) -> MartingaleMeasureSet:
-    """One equality row per internal node per asset, in leaf-mass variables."""
-    return MartingaleMeasureSet(tree.space, tuple(row for _label, row in _gain_vectors(tree)))
+    """One equality row per internal node per asset, in leaf-mass variables.
+
+    Built once per tree: every call on the same tree returns the same set.
+    """
+    return tree._emm
 
 
 def viability_certificate(tree: MarketTree) -> tuple[Fraction, Optional[Measure]]:
@@ -269,7 +306,12 @@ def viability_certificate(tree: MarketTree) -> tuple[Fraction, Optional[Measure]
 
     Returns the optimal slack and the maximising measure (None when even the
     closure is empty); the measure certifies viability whenever slack > 0.
+    The LP is solved once per tree and the answer kept on the tree.
     """
+    return tree._viability
+
+
+def _viability_lp(tree: MarketTree) -> tuple[Fraction, Optional[Measure]]:
     emm = emm_set(tree)
     n = tree.space.size
     rows = []
@@ -391,6 +433,10 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
     for coeffs in columns:
         rows.append(LinearConstraint(coeffs, "<=", _F1))
         rows.append(LinearConstraint(tuple(-c for c in coeffs), "<=", _F1))
+    # Claim values over one denominator: basis row i is B_i / d_i, and a
+    # vertex c maps to sum_i (c_i / d_i) B_i = sum_i W_i B_i / D.
+    scaled = [linalg._scaled(row) for row in basis]
+    int_columns = list(zip(*[ints for ints, _d in scaled]))  # one per atom
     generators: list[RandomVariable] = []
     for vertex in vertex_enumeration(rows, len(basis)):
         # The box is symmetric and c -> B^T c is injective, so the vertices
@@ -398,10 +444,12 @@ def attainable_ball(tree: MarketTree) -> AbsolutelyConvexBody:
         # sorts first and stands for the pair.
         if next(v for v in vertex if v) > 0:
             continue
-        values = [sum((c * v for c, v in zip(coeffs, vertex)), _F0) for coeffs in columns]
-        if next(v for v in values if v) < 0:
-            values = [-v for v in values]
-        generators.append(RandomVariable(tree.space, tuple(values)))
+        weights, den = linalg._scaled([v / d for v, (_ints, d) in zip(vertex, scaled)])
+        nums = [sum(map(mul, weights, column)) for column in int_columns]
+        sign = -1 if next(v for v in nums if v) < 0 else 1
+        generators.append(
+            RandomVariable(tree.space, tuple(Fraction(sign * v, den) for v in nums))
+        )
     return AbsolutelyConvexBody(tree.space, tuple(generators))
 
 
@@ -411,15 +459,11 @@ def nonsolidity_witness(tree: MarketTree) -> Optional[Witness]:
     Scans singletons in atom order; the two extremal measures certify the
     split.  Atoms whose mass the martingale rows pin are skipped without an
     LP.  Larger events need no scan: the EMM set lies in the simplex, so
-    once every singleton's mass is pinned it is a single point.
+    once every singleton's mass is pinned it is a single point.  The scan
+    runs once per tree and is shared with ``is_singleton``.
     """
     _require_viable(tree)
-    emm = emm_set(tree)
-    for atom, indicator in emm._unpinned_atoms():
-        low, high, m_low, m_high = emm.bounds(indicator)
-        if low != high:
-            return Witness((atom,), indicator, low, high, m_low, m_high)
-    return None
+    return emm_set(tree)._first_split
 
 
 def market_tree_from_rows(

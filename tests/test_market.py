@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import pickle
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -347,6 +349,29 @@ class TestAttainableBall:
         assert 2 * len(generators) == len(vertices)
         assert all(g.values in claims for g in generators)
 
+    def test_generators_are_the_claims_of_one_vertex_per_pair(self):
+        # Oracle: each kept vertex mapped to claim values by Fraction sums.
+        rnd = random.Random(25)
+        for _ in range(40):
+            tree = random_tree(rnd)
+            gains = [list(e.values) for e in strategy_basis(tree).elements]
+            basis = [gains[i] for i in linalg.independent_rows(gains)]
+            columns = list(zip(*basis))
+            rows = [
+                LinearConstraint(tuple(sign * c for c in column), "<=", Fraction(1))
+                for column in columns
+                for sign in (1, -1)
+            ]
+            expected = []
+            for vertex in vertex_enumeration(rows, len(basis)):
+                if next(v for v in vertex if v) > 0:
+                    continue
+                values = [sum(c * v for c, v in zip(column, vertex)) for column in columns]
+                if next(v for v in values if v) < 0:
+                    values = [-v for v in values]
+                expected.append(tuple(values))
+            assert [g.values for g in attainable_ball(tree).generators] == expected
+
     def test_no_trading_ball_is_the_constant_segment(self):
         ball = attainable_ball(no_trading_tree())
         assert [g.values for g in ball.generators] == [(Fraction(1), Fraction(1))]
@@ -523,3 +548,111 @@ class TestPinnedAtoms:
             with pytest.raises(PreconditionError) as expected:
                 ref.is_singleton(emm)
             assert str(got.value) == str(expected.value) == "empty martingale measure set"
+
+
+def _market_op(tree, claim, second):
+    """The calls of one perfbench ``market_tree`` op, in its order."""
+    slack, sample = viability_certificate(tree)
+    emm = emm_set(tree)
+    return (
+        slack,
+        sample,
+        emm.is_singleton(),
+        nonsolidity_witness(tree),
+        attainable(tree, claim),
+        attainable(tree, second),
+        attainable_ball(tree).generators,
+        emm.vertices(),
+    )
+
+
+class TestTreeCache:
+    """The EMM set, its viability certificate and its first split are kept."""
+
+    def test_one_op_solves_the_viability_lp_and_the_first_split_once(self):
+        rnd = random.Random(21)
+        trees = [trinomial_tree(), binomial_tree(), two_period_tree(), no_trading_tree()]
+        trees += [random_tree(rnd) for _ in range(30)]
+        seen = set()
+        for tree in trees:
+            n = tree.space.size
+            claims = [random_rv(rnd, tree.space) for _ in range(2)]
+            outcomes: list = []
+            with record_outcomes(outcomes):
+                result = _market_op(tree, *claims)
+            complete = result[2]
+            # The viability LP has one variable more than a bounds LP.
+            assert [len(lp.objective) for lp, _out in outcomes] == (
+                [n + 1] if complete else [n + 1, n, n]
+            )
+            again: list = []
+            with record_outcomes(again):
+                assert _market_op(tree, *claims) == result
+            assert again == []
+            seen.add(complete)
+        assert seen == {True, False}
+
+    def test_emm_set_is_built_once_per_tree(self):
+        tree = trinomial_tree()
+        assert emm_set(tree) is emm_set(tree)
+        assert emm_set(tree) == emm_set(trinomial_tree())
+        assert emm_set(tree) is not emm_set(trinomial_tree())
+
+    def test_cached_values_cannot_be_reassigned(self):
+        tree = trinomial_tree()
+        emm = emm_set(tree)
+        certificate = viability_certificate(tree)
+        witness = nonsolidity_witness(tree)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree._viability = (Fraction(0), None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree._emm = emm_set(binomial_tree())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del tree._emm
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del tree._viability
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            emm._first_split = None
+        assert emm_set(tree) is emm
+        assert viability_certificate(tree) == certificate and viability(tree)
+        assert nonsolidity_witness(tree) == witness
+
+    def test_pickled_tree_gives_equal_results(self):
+        rnd = random.Random(22)
+        trees = [trinomial_tree(), two_period_tree()] + [random_tree(rnd) for _ in range(10)]
+        for tree in trees:
+            claims = [random_rv(rnd, tree.space) for _ in range(2)]
+            fresh = pickle.loads(pickle.dumps(tree))
+            before = _market_op(tree, *claims)
+            used = pickle.loads(pickle.dumps(tree))
+            outcomes: list = []
+            with record_outcomes(outcomes):
+                assert _market_op(used, *claims) == before
+            # The pickle carries the cached certificate and split.
+            assert outcomes == []
+            assert _market_op(fresh, *claims) == before
+        tree = nonviable_tree()
+        certificate = viability_certificate(tree)
+        restored = pickle.loads(pickle.dumps(tree))
+        assert viability_certificate(restored) == certificate and certificate[0] == 0
+        with pytest.raises(PreconditionError):
+            nonsolidity_witness(restored)
+
+    def test_threads_sharing_a_tree_get_equal_witnesses(self):
+        tree = branching_tree(random.Random(24), (3, 3))
+        expected = nonsolidity_witness(branching_tree(random.Random(24), (3, 3)))
+        assert expected is not None
+        barrier = threading.Barrier(4)
+        results: list = [None] * 4
+
+        def work(slot):
+            barrier.wait()
+            results[slot] = nonsolidity_witness(tree)
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected] * 4
+
