@@ -2,9 +2,12 @@
 
 A body K is the absolutely convex hull of finitely many generators; in a
 finite-atom space it is automatically closed, bounded and absolutely convex,
-so no runtime check is needed for those facts.  Polars are never
-materialised as geometry: they enter only through the generator-max formula
-for their gauge and through membership LPs.
+so no runtime check is needed for those facts.  When the generators are
+linearly independent, K is a cross-polytope in span(K): a point of the span
+has one coefficient vector c and its gauge is ||c||_1, read from a left
+inverse of the generators with no LP.  Dependent generators take the gauge
+LP.  Polars are never materialised as geometry: they enter only through the
+generator-max formula for their gauge and through membership LPs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable, NamedTuple, Optional
 
 from . import linalg
 from .errors import CertificateError, PreconditionError, SpaceMismatchError, ValidationError
@@ -25,6 +29,20 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 SIGN_PATTERN_ATOM_CAP = 12
+
+
+class _Coordinates(NamedTuple):
+    """Coefficients over independent generators by integer dot products.
+
+    For x = X / d, c = C / (D * d) with C = inverse @ X.  ``atoms`` holds the
+    generators as integers over scale / D, one row per atom, so
+    sum c_j v_j = x iff atoms @ C = X * scale.
+    """
+
+    inverse: tuple[tuple[int, ...], ...]  # one integer row per generator
+    den: int  # D
+    atoms: tuple[tuple[int, ...], ...]  # the generators' integer values, one row per atom
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,19 @@ class AbsolutelyConvexBody:
 
     def scaled(self, factor: object) -> "AbsolutelyConvexBody":
         return AbsolutelyConvexBody(self.space, tuple(g.scaled(factor) for g in self.generators))
+
+    @cached_property
+    def _coordinates(self) -> Optional[_Coordinates]:
+        """The left inverse of independent generators, kept on the value; None
+        for dependent ones."""
+        found = linalg.left_inverse([g.values for g in self.generators])
+        if found is None:
+            return None
+        inverse, den = found
+        ints, gen_den = linalg._scaled([v for g in self.generators for v in g.values])
+        n = self.space.size
+        atoms = tuple(tuple(ints[i::n]) for i in range(n))
+        return _Coordinates(inverse, den, atoms, den * gen_den)
 
 
 @dataclass(frozen=True)
@@ -94,11 +125,22 @@ def span_basis(body: AbsolutelyConvexBody) -> Subspace:
 def gauge(body: AbsolutelyConvexBody, x: RandomVariable) -> ExtendedValue:
     """Minkowski functional of K at x; INF off the span of K, 0 iff x = 0.
 
-    Computed as min sum(a_j + b_j) subject to sum (a_j - b_j) v_j = x with
-    a, b >= 0; infeasibility signals x outside span(K).
+    Independent generators: c = P x by the left inverse P, and the gauge is
+    ||c||_1 if sum c_j v_j = x, checked exactly, else INF (on the span,
+    V P x = x).  Otherwise the LP min sum(a_j + b_j) subject to
+    sum (a_j - b_j) v_j = x with a, b >= 0; infeasibility signals x outside
+    span(K).
     """
     if x.space != body.space:
         raise SpaceMismatchError("point lives on a different space")
+    coords = body._coordinates
+    if coords is not None:
+        values, den = linalg._scaled(x.values)
+        c = [sum(map(mul, row, values)) for row in coords.inverse]
+        for column, v in zip(coords.atoms, values):
+            if sum(map(mul, column, c)) != v * coords.scale:
+                return INF
+        return Fraction(sum(map(abs, c)), coords.den * den)
     m = len(body.generators)
     n = body.space.size
     rows = []
@@ -209,7 +251,8 @@ def solid_check(
     - a convex set holding every sign flip of g holds the box [-|g|, |g|],
       which is the convex hull of those flips.
     A failing flip has |T_i v| = |v|, so it lies in sol(K) outside K; it is
-    mirrored to lead with a positive entry (K = -K).  At most n*m gauge LPs.
+    mirrored to lead with a positive entry (K = -K).  At most n*m gauge LPs,
+    and none when the generators are independent.
     """
     for v in body.generators:
         support = [i for i, val in enumerate(v.values) if val != 0]

@@ -109,6 +109,38 @@ def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[F
     return x
 
 
+def left_inverse(rows: Sequence[Row]) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Integer rows P and a denominator D > 0 with (P / D) @ transpose(rows) = I.
+
+    For x in the row span, (P / D) @ x holds the one coefficient vector c with
+    sum c_j rows_j = x; independent rows are required, and dependent ones give
+    None.  One elimination of each row beside its unit vector, as in
+    ``_echelon``: every reduced row reads [sum_j t_j rows_j | t], so the first
+    pivot past the first n columns is a vanishing combination of the rows,
+    and the elimination stops there.
+    """
+    m, n = len(rows), len(rows[0])
+    kept: list[tuple[int, int, list[int]]] = []
+    for j, row in enumerate(rows):
+        ints, scale = _scaled(row)
+        work = _reduce(kept, ints + [scale * (j == k) for k in range(m)])
+        pivot = next(col for col, v in enumerate(work) if v)
+        if pivot >= n:
+            return None
+        kept.append((j, pivot, work))
+    # As in ``solve_exact``: afterwards each row is zero at every other row's
+    # pivot, so x = sum_k (x[p_k] / row_k[p_k]) * row_k on the span.
+    for k in range(m - 1, -1, -1):
+        _reduce(kept[k + 1 :], kept[k][2])
+    den = lcm(*[row[pcol] for _idx, pcol, row in kept])
+    inverse = [[0] * n for _ in range(m)]
+    for _idx, pcol, row in kept:
+        factor = den // row[pcol]
+        for j in range(m):
+            inverse[j][pcol] = row[n + j] * factor
+    return tuple(tuple(row) for row in inverse), den
+
+
 def in_span(rows: Sequence[Row], vector: Row) -> bool:
     """Whether ``vector`` lies in the row span of ``rows``."""
     if all(v == 0 for v in vector):

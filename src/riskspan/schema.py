@@ -28,6 +28,8 @@ def load_document(path: str) -> dict:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer above the digit limit
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"JSON in {path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"top-level JSON object required in {path}")
     return doc

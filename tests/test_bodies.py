@@ -1,10 +1,12 @@
 """Gauges, polars, spans, solid hulls, and the solidity test."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import riskspan
 from riskspan import (
     INF,
     AbsolutelyConvexBody,
@@ -76,6 +78,23 @@ class TestGauge:
                 continue  # support problem unbounded off the span; skip
             checked += 1
             assert gauge(K, x) == -out.value
+
+    def test_coordinates_are_kept_on_the_body(self):
+        sp = uniform(3)
+        K = AbsolutelyConvexBody.of(sp, [[1, Fraction(1, 2), 0], [0, 2, -1]])
+        x = RandomVariable.of(sp, [Fraction(3, 2), Fraction(19, 4), -2])  # 3/2 v_1 + 2 v_2
+        with record_outcomes([]) as lps:
+            assert gauge(K, x) == Fraction(7, 2)
+        assert lps == []
+        assert K._coordinates is K.__dict__["_coordinates"]
+        used = pickle.loads(pickle.dumps(K))
+        assert used == K and "_coordinates" in used.__dict__
+        assert gauge(used, x) == Fraction(7, 2)
+        # A third generator in the same 2-dimensional span: dependent.
+        dependent = AbsolutelyConvexBody(sp, K.generators + (x,))
+        with record_outcomes([]) as lps:
+            assert gauge(dependent, x) == 1
+        assert dependent._coordinates is None and len(lps) == 1
 
 
 class TestMember:
@@ -243,13 +262,20 @@ class TestSolidCheck:
     def test_cross_is_solid(self):
         assert solid_check(cross_body(uniform(2))) == (True, None)
 
-    def test_diag_is_not_solid(self):
-        # On two atoms the second single flip mirrors the first: one LP.
-        with record_outcomes([]) as lps:
-            solid, counter = solid_check(diag_body(uniform(2)))
+    def test_diag_is_not_solid(self, monkeypatch):
+        # On two atoms the second single flip mirrors the first: one flip
+        # tested.  The one generator is independent, so that test solves no LP.
+        tested = []
+
+        def counting(body, x):
+            tested.append(x)
+            return member(body, x)
+
+        monkeypatch.setattr(riskspan.bodies, "member", counting)
+        solid, counter = solid_check(diag_body(uniform(2)))
         assert not solid
         assert counter == RandomVariable.of(uniform(2), [1, -1])
-        assert len(lps) == 1
+        assert tested == [counter]
         one = RandomVariable.of(uniform(2), [1, 1])
         assert one.dominates(counter)
         assert not member(diag_body(uniform(2)), counter)

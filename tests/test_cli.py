@@ -5,6 +5,8 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 import riskspan.exactlp
 from riskspan import (
     CertificateError,
@@ -271,6 +273,37 @@ class TestMarketCommands:
         assert sorted(gens) == [["1/1", "-1/1"], ["1/1", "1/1"]]
 
 
+def _set_item(path: tuple, value):
+    """An edit that sets doc[path[0]][path[1]]... to ``value``."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+# case -> (command, fixture or None, edit or raw text, point)
+_MALFORMED = {
+    "negative fatou bound": ("risk-fatou", "fatou_settled.json", _set_item(("bound",), "-1"), None),
+    "empty sequence": ("risk-fatou", "fatou_settled.json", _set_item(("sequence",), []), None),
+    "duplicate atom labels": (
+        "set-gauge", "body_cross.json", _set_item(("space", "atoms"), ["a", "a"]), "1,1"
+    ),
+    "non-string atom label": (
+        "set-gauge", "body_cross.json", _set_item(("space", "atoms"), ["a", 1]), "1,1"
+    ),
+    "1/0 weight": (
+        "set-gauge", "body_cross.json", _set_item(("space", "weights"), ["1/0", "1/2"]), "1,1"
+    ),
+    "self-parented node": (
+        "market-emm", "market_binomial.json", _set_item(("nodes", 1, "parent"), "u"), None
+    ),
+    "deep nesting": ("set-gauge", None, '{"space": ' + "[" * 100_000 + "]" * 100_000 + "}", "1,1"),
+}
+
+
 class TestErrors:
     def test_missing_file_exit_4(self, capsys):
         code, _out = run_cli(capsys, "set-gauge", "--input", "/nonexistent.json", "--point", "0,0")
@@ -377,12 +410,42 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("validation error:")
 
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        # The JSON decoder recurses once per level and hits the interpreter's
+        # recursion limit.
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 200_000 + "]" * 200_000)
+        code = main(["set-gauge", "--input", str(doc), "--point", "0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: JSON in {doc} is nested too deeply\n"
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED), ids=str)
+    def test_malformed_document_exits_without_traceback(self, case, tmp_path, capsys):
+        command, fixture, edit, point = _MALFORMED[case]
+        doc = tmp_path / "doc.json"
+        if fixture is None:
+            doc.write_text(edit)
+        else:
+            with open(fx(fixture), encoding="utf-8") as handle:
+                data = json.load(handle)
+            edit(data)
+            doc.write_text(json.dumps(data))
+        argv = [command, "--input", str(doc)] + (["--point", point] if point else [])
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (2, 3), err
+        assert "Traceback" not in err
+        assert err.startswith(("validation error:", "precondition failure:")), err
+
     def test_certificate_failure_exit_5(self, monkeypatch, capsys):
         def reject(lp, outcome):
             raise CertificateError("forced rejection")
 
         monkeypatch.setattr(riskspan.exactlp, "verify_outcome", reject)
-        code = main(["set-gauge", "--input", fx("body_cross.json"), "--point", "1,1"])
+        # The cross body's generators are independent, so its gauge needs no
+        # LP; its solid-hull test solves one.
+        code = main(["set-solid-hull", "--input", fx("body_cross.json"), "--point", "1,1"])
         assert code == 5
         assert capsys.readouterr().err == "certificate failure: forced rejection\n"
 

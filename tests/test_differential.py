@@ -11,7 +11,8 @@ rows paired afresh on every call, and the sorted Ky-Fan formula the same
 distances as the scan over every candidate.  The single-flip solidity test
 must reach the same verdict as the test of every sign flip, with a
 counterexample that is a mirrored single flip of a generator in sol(K)
-outside K.
+outside K.  The gauge read from coordinates over independent generators
+must equal the gauge LP's value, with no LP solved.
 """
 
 import random
@@ -24,6 +25,7 @@ import pytest
 
 from riskspan import (
     INF,
+    AbsolutelyConvexBody,
     CertificateError,
     LinearConstraint,
     LinearProgram,
@@ -57,6 +59,7 @@ import fraction_reference as ref
 from support import (
     random_body,
     random_fraction,
+    random_member,
     random_risk,
     random_rv,
     random_space,
@@ -148,6 +151,9 @@ def _library_programs(rnd: random.Random, instances: int) -> list:
             body = random_body(rnd, space, rnd.randint(1, 4))
             x = random_rv(rnd, space)
             gauge(body, x)
+            # A dependent generator keeps the gauge on its LP.
+            doubled = body.generators[0].scaled(2)
+            gauge(AbsolutelyConvexBody(space, body.generators + (doubled,)), x)
             polar_gauge(body, x)
             solid_hull_member(body, x)
         for _ in range(instances):
@@ -363,6 +369,25 @@ def test_eliminations_match_the_reference():
     assert deficient > 100
     assert linalg.rank([]) == 0 and linalg.solve_exact([], []) == []
     assert not linalg.in_span([], [Fraction(1)])
+
+
+def test_left_inverse_inverts_independent_rows():
+    rnd = random.Random(629)
+    seen: Counter = Counter()
+    for _ in range(500):
+        rows = _random_matrix(rnd)
+        found = linalg.left_inverse(rows)
+        independent = ref.rank(rows) == len(rows)
+        assert (found is not None) == independent
+        seen["independent" if independent else "dependent"] += 1
+        if found is None:
+            continue
+        inverse, den = found
+        assert den > 0
+        for j, prow in enumerate(inverse):
+            for k, row in enumerate(rows):
+                assert sum((p * v for p, v in zip(prow, row)), Fraction(0)) == den * (j == k)
+    assert min(seen.values()) >= 100, seen
 
 
 def _random_region(
@@ -588,6 +613,62 @@ def test_ky_fan_formula_matches_the_candidate_scan():
         seen["zero distance"] += 0 in diffs
         seen["f = g"] += f == g
     assert min(seen.values()) >= 100, seen
+
+
+def _reference_gauge(body, x: RandomVariable):
+    """The gauge LP min sum(a_j + b_j), sum (a_j - b_j) v_j = x, a, b >= 0,
+    solved by the Fraction simplex; INF when infeasible."""
+    m = len(body.generators)
+    rows = [
+        LinearConstraint(
+            tuple([g.values[i] for g in body.generators] + [-g.values[i] for g in body.generators]),
+            "=",
+            x.values[i],
+        )
+        for i in range(body.space.size)
+    ]
+    lp = LinearProgram.minimize([Fraction(1)] * (2 * m), rows, lower=[Fraction(0)] * (2 * m))
+    outcome = ref.solve(lp)
+    return INF if outcome.status is LPStatus.INFEASIBLE else outcome.value
+
+
+def test_coordinate_gauge_matches_the_gauge_lp():
+    rnd = random.Random(628)
+    seen: Counter = Counter()
+    while seen["bodies"] < 300:
+        space = random_space(rnd, rnd.randint(1, 5))
+        body = random_body(rnd, space, space.size)
+        if ref.rank([list(g.values) for g in body.generators]) < len(body.generators):
+            continue
+        seen["bodies"] += 1
+        generator = rnd.choice(body.generators)
+        points = {
+            "span": random_span_point(rnd, body),
+            "member": random_member(rnd, body),
+            "random": random_rv(rnd, space),
+            "zero": RandomVariable.zero(space),
+            "generator": generator,
+        }
+        # Every point of K is an absolutely convex combination of the
+        # generators, so appending one leaves K, and every gauge, unchanged.
+        dependent = AbsolutelyConvexBody(space, body.generators + (random_member(rnd, body),))
+        for kind, x in points.items():
+            expected = _reference_gauge(body, x)
+            with record_outcomes([]) as lps:
+                value = gauge(body, x)
+                inside = member(body, x)
+            assert lps == []
+            assert value == expected, (body, x)
+            assert type(value) is type(expected)
+            assert inside == (expected <= 1)
+            with record_outcomes([]) as lps:
+                assert gauge(dependent, x) == value
+            assert len(lps) == 1
+            seen[kind, "inf" if value is INF else "inside" if inside else "outside"] += 1
+        assert gauge(body, generator) == 1
+        assert gauge(body, RandomVariable.zero(space)) == 0
+    assert seen["random", "inf"] >= 100 and seen["span", "outside"] >= 100, seen
+    assert seen["member", "inside"] == 300 and seen["random", "outside"] >= 20, seen
 
 
 def _mirrored_single_flips(v: RandomVariable) -> set:
