@@ -90,6 +90,17 @@ def independent_rows(rows: Sequence[Row]) -> list[int]:
     return [idx for idx, _pcol, _row in _echelon(rows)]
 
 
+def _back_substitute(kept: Sequence[tuple[int, int, list[int]]]) -> None:
+    """Clear each row of an ``_echelon`` result at the pivots after its own.
+
+    A kept row is already zero at the pivots of the rows before it, so
+    clearing it at the pivots after it (last row first) leaves one nonzero
+    per row among the pivot columns.
+    """
+    for k in range(len(kept) - 2, -1, -1):
+        _reduce(kept[k + 1 :], kept[k][2])
+
+
 def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Some exact solution of ``rows @ x = rhs`` (free vars pinned to 0), or None."""
     if not rows:
@@ -98,13 +109,9 @@ def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[F
     kept = _echelon([list(rows[i]) + [rhs[i]] for i in range(len(rows))])
     if any(pcol == n for _idx, pcol, _row in kept):
         return None
-    # A kept row is already zero at the pivots of the rows before it, so
-    # clearing it at the pivots after it (last row first) leaves one nonzero
-    # per row among the pivot columns.
+    _back_substitute(kept)
     x = [Fraction(0)] * n
-    for k in range(len(kept) - 1, -1, -1):
-        _idx, pcol, work = kept[k]
-        _reduce(kept[k + 1 :], work)
+    for _idx, pcol, work in kept:
         x[pcol] = Fraction(work[n], work[pcol])
     return x
 
@@ -114,24 +121,17 @@ def left_inverse(rows: Sequence[Row]) -> Optional[tuple[tuple[tuple[int, ...], .
 
     For x in the row span, (P / D) @ x holds the one coefficient vector c with
     sum c_j rows_j = x; independent rows are required, and dependent ones give
-    None.  One elimination of each row beside its unit vector, as in
-    ``_echelon``: every reduced row reads [sum_j t_j rows_j | t], so the first
-    pivot past the first n columns is a vanishing combination of the rows,
-    and the elimination stops there.
+    None.  ``_echelon`` runs over each row beside its unit vector: every
+    reduced row reads [sum_j t_j rows_j | t], so a pivot past the first n
+    columns is a vanishing combination of the rows.
     """
     m, n = len(rows), len(rows[0])
-    kept: list[tuple[int, int, list[int]]] = []
-    for j, row in enumerate(rows):
-        ints, scale = _scaled(row)
-        work = _reduce(kept, ints + [scale * (j == k) for k in range(m)])
-        pivot = next(col for col, v in enumerate(work) if v)
-        if pivot >= n:
-            return None
-        kept.append((j, pivot, work))
-    # As in ``solve_exact``: afterwards each row is zero at every other row's
-    # pivot, so x = sum_k (x[p_k] / row_k[p_k]) * row_k on the span.
-    for k in range(m - 1, -1, -1):
-        _reduce(kept[k + 1 :], kept[k][2])
+    kept = _echelon([list(row) + [int(j == k) for k in range(m)] for j, row in enumerate(rows)])
+    if any(pcol >= n for _idx, pcol, _row in kept):
+        return None
+    # Afterwards each row is zero at every other row's pivot, so
+    # x = sum_k (x[p_k] / row_k[p_k]) * row_k on the span.
+    _back_substitute(kept)
     den = lcm(*[row[pcol] for _idx, pcol, row in kept])
     inverse = [[0] * n for _ in range(m)]
     for _idx, pcol, row in kept:

@@ -94,9 +94,3 @@ def format_rational(value: Fraction) -> str:
 
 def format_extended(value: ExtendedValue) -> str:
     return "inf" if value is INF else format_rational(value)
-
-
-def parse_extended(value: object) -> ExtendedValue:
-    if value == "inf":
-        return INF
-    return parse_rational(value)

@@ -2,8 +2,9 @@
 
 A risk function is stored by its dual data: finitely many scenarios g_j with
 penalties alpha_j, meaning max_j(pairing(f, g_j) - alpha_j) on span(K) and
-+inf off it.  The Fenchel conjugate, the dual-representation evaluator and
-the two extension operators are all exact LPs over that data.
++inf off it.  The Fenchel conjugate, the monotone extension and
+``monotone_certifiable`` are exact LPs over that data; the full extension is
+the risk function itself, and ``dual_rep_evaluate`` reads conjugates.
 
 A risk function keeps what it derives from its data on itself, built on
 first use: span(K); one integer table holding D * mu_i * g_j(i) and
@@ -238,33 +239,35 @@ def extend(
 ) -> ExtendedValue:
     """The dual-representation extension evaluated at f.
 
-    One LP over a dual point g and a scenario mixture lambda: maximise
-    pairing(f, g) - sum lambda_j alpha_j subject to g matching the mixture on
-    span(K); mode "monotone" restricts g to the nonnegative cone.  An
-    unbounded supremum is +inf.
+    The sup over a dual point g and a scenario mixture lambda of
+    pairing(f, g) - sum lambda_j alpha_j, subject to g matching the mixture
+    on span(K); an unbounded supremum is +inf.  Mode "monotone" restricts g
+    to the nonnegative cone and solves that LP.
+
+    Mode "full" is phi itself, with no LP.  On span(K) every admissible g
+    pairs with f as its mixture does, so the sup is max_j(pairing(f, g_j) -
+    alpha_j).  Off span(K) let h != 0 be the mu-orthogonal part of f: g_1 +
+    t * h stays admissible for every t and raises the objective by
+    t * pairing(h, h) > 0, since mu > 0 makes the pairing an inner product;
+    so the sup is +inf.
     """
     if mode not in ("full", "monotone"):
         raise ValidationError(f"unknown extension mode {mode!r}")
     if f.space != phi.space:
         raise SpaceMismatchError("point lives on a different space")
-    space = phi.space
-    n = space.size
+    if mode == "full":
+        return evaluate(phi, f)
+    n = phi.space.size
     m = len(phi.scenarios)
-    mu = space.weights
-    # variables: lambda_1..lambda_m, g_1..g_n
+    mu = phi.space.weights
+    # variables: lambda_1..lambda_m, g_1..g_n, all nonnegative
     rows = [LinearConstraint(tuple([_F1] * m + [_F0] * n), "=", _F1), *_matching_rows(phi)]
     objective = [alpha for _gj, alpha in phi.scenarios]
     objective += [-(mu[i] * f.values[i]) for i in range(n)]
-    g_lower = _F0 if mode == "monotone" else None
-    lp = LinearProgram.minimize(
-        objective, rows, lower=[_F0] * m + [g_lower] * n
-    )
-    outcome = solve(lp)
+    outcome = solve(LinearProgram.minimize(objective, rows, lower=[_F0] * (m + n)))
     if outcome.status is LPStatus.UNBOUNDED:
         return INF
     if outcome.status is LPStatus.INFEASIBLE:
-        if mode == "full":
-            raise CertificateError("full-mode extension LP reported infeasible")
         raise PreconditionError(
             "no nonnegative dual point matches any scenario mixture on span(K); "
             "the monotone extension is empty"

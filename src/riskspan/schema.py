@@ -53,13 +53,6 @@ def space_from_json(doc: dict) -> FiniteProbabilitySpace:
     return FiniteProbabilitySpace(tuple(atoms), tuple(parse_rational(w) for w in weights))
 
 
-def space_to_json(space: FiniteProbabilitySpace) -> dict:
-    return {
-        "atoms": list(space.atoms),
-        "weights": [format_rational(w) for w in space.weights],
-    }
-
-
 def rv_from_json(space: FiniteProbabilitySpace, values: object) -> RandomVariable:
     if not isinstance(values, list):
         raise ValidationError("a random variable must be a list of rationals")

@@ -354,7 +354,9 @@ def test_criterion_09_compactifying_measure():
 
 
 def test_criterion_10_cli_determinism():
-    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     compared = 0
     for command, fixture, extra in CLI_FIXTURE_COMMANDS:
         argv = [

@@ -12,7 +12,8 @@ distances as the scan over every candidate.  The single-flip solidity test
 must reach the same verdict as the test of every sign flip, with a
 counterexample that is a mirrored single flip of a generator in sol(K)
 outside K.  The gauge read from coordinates over independent generators
-must equal the gauge LP's value, with no LP solved.
+must equal the gauge LP's value, with no LP solved, and so must the full
+extension, read as the risk function itself, equal the extension LP's.
 """
 
 import random
@@ -554,6 +555,29 @@ def test_risk_span_data_matches_rows_paired_per_call():
     assert seen["certifiable"] >= 20 and seen["finite conjugate"] >= 200, seen
     assert seen["off span"] >= 50 and seen["monotone", "tuple"] >= 20, seen
     assert seen["full", "inf"] >= 50 and seen["monotone", "Fraction"] >= 50, seen
+
+
+def test_full_extension_is_the_risk_function_and_matches_the_extension_lp():
+    rnd = random.Random(619)
+    seen: Counter = Counter()
+    for _ in range(300):
+        space = random_space(rnd, rnd.randint(1, 5))
+        phi = random_risk(rnd, space, max_scenarios=4)
+        on_span = random_span_point(rnd, phi.body)
+        bump = [Fraction(0)] * space.size
+        bump[rnd.randrange(space.size)] = Fraction(1, rnd.choice((7, 11, 13)))
+        nudged = on_span + RandomVariable(space, tuple(bump))
+        sub = span_basis(phi.body)
+        for kind, f in (("on span", on_span), ("random", random_rv(rnd, space)), ("nudged", nudged)):
+            with record_outcomes([]) as lps:
+                value = extend(phi, f, "full")
+            assert not lps
+            assert value == ref.extend(phi, f, "full")
+            assert (value is INF) == (not sub.contains(f))
+            seen[kind, "inf" if value is INF else "finite"] += 1
+    assert seen["on span", "finite"] == 300, seen
+    assert seen["random", "inf"] >= 100 and seen["random", "finite"] >= 50, seen
+    assert seen["nudged", "inf"] >= 100 and seen["nudged", "finite"] >= 50, seen
 
 
 def test_integer_evaluate_matches_the_fraction_pairings():

@@ -153,6 +153,18 @@ class TestExtend:
         phi = span_one_risk()
         assert extend(phi, RandomVariable.of(phi.space, [1, 0]), "full") is INF
 
+    def test_full_mode_solves_no_lp_and_monotone_one(self):
+        phi = span_one_risk()
+        on_span = RandomVariable.of(phi.space, [3, 3])
+        off_span = RandomVariable.of(phi.space, [1, 0])
+        with record_outcomes([]) as lps:
+            assert extend(phi, on_span, "full") == 3
+            assert extend(phi, off_span, "full") is INF
+        assert len(lps) == 0
+        with record_outcomes([]) as lps:
+            assert extend(phi, off_span, "monotone") == 1
+        assert len(lps) == 1
+
     def test_monotone_mode_fixture_values(self):
         phi = span_one_risk()
         sp = phi.space
