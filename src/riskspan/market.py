@@ -8,12 +8,18 @@ which is harmless because constancy of a linear functional over the closure
 equals constancy over the (dense) set itself.
 
 A tree never changes after construction, so what is derived from it is
-computed on first use and kept: the tree keeps its martingale measure set
-(``emm_set``) and its viability certificate (one LP,
-``viability_certificate``), and the set keeps its unpinned atoms and its
-first split atom (the bounds LPs behind ``is_singleton`` and
-``nonsolidity_witness``).  Every later analysis of the same tree reuses
-them, so ``record_outcomes`` sees each of those LPs once per tree.
+computed on first use and kept: the tree keeps its strategy basis
+(``strategy_basis``), its martingale measure set (``emm_set``) and its
+viability certificate (one LP, ``viability_certificate``), and the set keeps
+its unpinned atoms and its first split atom (the bounds LPs behind
+``is_singleton`` and ``nonsolidity_witness``).  Every later analysis of the
+same tree reuses them, so ``record_outcomes`` sees each of those LPs once
+per tree.
+
+The strategy basis, the one place that computes price moves, is the
+constant 1 and the gains of holding one unit of one asset at one node only.
+It spans the attainable claims, its gains are the martingale rows, and a
+claim's coordinates in it are the capital and hedge ``attainable`` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .bodies import AbsolutelyConvexBody
@@ -132,9 +138,31 @@ class MarketTree:
 
     # cached_property writes to vars(self) directly, past __setattr__.
     @cached_property
+    def _strategy(self) -> StrategyBasis:
+        """The strategy basis, built on first use: the constant, then per
+        internal node (in ``internal_nodes`` order) and asset the leafwise
+        one-step price move, which is also a martingale row of the node.
+        """
+        space = self.space
+        elements = [RandomVariable.constant(space, 1)]
+        labels = ["constant"]
+        for nid in self.internal_nodes():
+            prices = self._by_id[nid].prices
+            for k in range(self.asset_count):
+                values = [_F0] * space.size
+                for kid in self._children[nid]:
+                    move = self._by_id[kid].prices[k] - prices[k]
+                    for leaf in self._leaves_below[kid]:
+                        values[space.index(leaf)] = move
+                elements.append(RandomVariable(space, tuple(values)))
+                labels.append(f"{nid}/asset{k}")
+        return StrategyBasis(space, tuple(elements), tuple(labels))
+
+    @cached_property
     def _emm(self) -> MartingaleMeasureSet:
         """The martingale measure set, built on first use."""
-        return MartingaleMeasureSet(self.space, tuple(row for _label, row in _gain_vectors(self)))
+        gains = self._strategy.elements[1:]
+        return MartingaleMeasureSet(self.space, tuple(e.values for e in gains))
 
     @cached_property
     def _viability(self) -> tuple[Fraction, Optional[Measure]]:
@@ -273,26 +301,6 @@ class Witness:
     measure_max: Measure
 
 
-def _gain_vectors(tree: MarketTree) -> Iterator[tuple[str, tuple[Fraction, ...]]]:
-    """Per internal node and asset: a label and the leafwise one-step price move.
-
-    The move is the terminal gain of holding one unit of the asset at that
-    node only, and also the node's martingale row in leaf-mass variables.
-    """
-    space = tree.space
-    for nid in tree.internal_nodes():
-        node = tree.node(nid)
-        for k in range(tree.asset_count):
-            values = [_F0] * space.size
-            for kid in tree.children(nid):
-                move = tree.node(kid).prices[k] - node.prices[k]
-                if move == 0:
-                    continue
-                for leaf in tree.leaves_below(kid):
-                    values[space.index(leaf)] = move
-            yield f"{nid}/asset{k}", tuple(values)
-
-
 def emm_set(tree: MarketTree) -> MartingaleMeasureSet:
     """One equality row per internal node per asset, in leaf-mass variables.
 
@@ -346,49 +354,37 @@ def _require_viable(tree: MarketTree) -> None:
 
 
 def strategy_basis(tree: MarketTree) -> StrategyBasis:
-    """Constant 1 plus the terminal gain of each elementary one-step strategy."""
-    space = tree.space
-    elements = [RandomVariable.constant(space, 1)]
-    labels = ["constant"]
-    for label, values in _gain_vectors(tree):
-        elements.append(RandomVariable(space, values))
-        labels.append(label)
-    return StrategyBasis(space, tuple(elements), tuple(labels))
+    """Constant 1 plus the terminal gain of each elementary one-step strategy.
+
+    Built once per tree: every call on the same tree returns the same basis.
+    """
+    return tree._strategy
 
 
 def attainable(
     tree: MarketTree, xi: RandomVariable
 ) -> tuple[bool, Optional[tuple[Fraction, dict[str, tuple[Fraction, ...]]]]]:
-    """Attainability and hedge by one node-by-node backward replication solve.
+    """Attainability and hedge as the claim's coordinates in the strategy basis.
 
     Returns (True, (a, hedge)) with xi = a + accumulated hedge gains exactly,
-    or (False, None).  The hedge maps each internal node to its asset vector.
-    In a viable market a solution at every node replicates xi, and an
-    attainable claim's value process solves every node, so a node without a
-    solution decides (False, None).
+    or (False, None).  One exact solve writes xi in the tree's basis: the
+    coordinate of the constant is the initial capital a, and the hedge maps
+    each internal node to the coordinates of its asset gains.  Coordinates
+    of gains that depend on earlier basis elements are 0.
     """
     if xi.space != tree.space:
         raise SpaceMismatchError("claim lives on a different space")
     _require_viable(tree)
-    values: dict[str, Fraction] = {
-        leaf: xi.values[tree.space.index(leaf)] for leaf in tree.space.atoms
+    columns = [e.values for e in strategy_basis(tree).elements]
+    coords = linalg.solve_exact(list(zip(*columns)), xi.values)
+    if coords is None:
+        return False, None
+    m = tree.asset_count
+    hedge = {
+        nid: tuple(coords[1 + i * m : 1 + (i + 1) * m])
+        for i, nid in enumerate(tree.internal_nodes())
     }
-    hedge: dict[str, tuple[Fraction, ...]] = {}
-    for nid in reversed(tree.internal_nodes()):
-        node = tree.node(nid)
-        rows = []
-        rhs = []
-        for kid in tree.children(nid):
-            kid_node = tree.node(kid)
-            moves = [kid_node.prices[k] - node.prices[k] for k in range(tree.asset_count)]
-            rows.append([_F1] + moves)
-            rhs.append(values[kid])
-        solution = linalg.solve_exact(rows, rhs)
-        if solution is None:
-            return False, None
-        values[nid] = solution[0]
-        hedge[nid] = tuple(solution[1:])
-    return True, (values[tree.root], hedge)
+    return True, (coords[0], hedge)
 
 
 def replicates(
@@ -397,7 +393,17 @@ def replicates(
     hedge: Mapping[str, Sequence[Fraction]],
     xi: RandomVariable,
 ) -> bool:
-    """Exact check that the strategy reproduces the claim leaf by leaf."""
+    """Exact check that the strategy reproduces the claim leaf by leaf.
+
+    The hedge must hold ``asset_count`` assets at every internal node.
+    """
+    if xi.space != tree.space:
+        raise SpaceMismatchError("claim lives on a different space")
+    for nid in tree.internal_nodes():
+        if nid not in hedge:
+            raise ValidationError(f"hedge has no holding for internal node {nid!r}")
+        if len(hedge[nid]) != tree.asset_count:
+            raise ValidationError(f"holding at node {nid!r} needs {tree.asset_count} asset(s)")
     value: dict[str, Fraction] = {tree.root: initial}
     order = sorted(tree.nodes, key=lambda nd: (nd.time, nd.node_id))
     for node in order:

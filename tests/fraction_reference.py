@@ -27,7 +27,11 @@ gate above.  The library must return the same sorted vertices, and raise
 on the same unbounded regions.
 ``is_singleton`` and ``nonsolidity_witness`` are the market scans that
 bounded every atom's mass before pinned atoms were skipped.  The library
-must return identical results.
+must return identical results.  ``attainable`` is the node-by-node backward
+replication that ``riskspan.market`` ran before it solved for the claim's
+coordinates in the tree's strategy basis: one small ``solve_exact`` per
+internal node, leaves first.  The library must return the same flag,
+initial capital and hedge (its hedge lists the nodes root first).
 
 ``evaluate`` pairs the point with every scenario through ``Fraction``
 products, as ``riskspan.risk`` did before a risk function kept its
@@ -629,6 +633,35 @@ def nonsolidity_witness(tree: market.MarketTree) -> Optional[market.Witness]:
         if low != high:
             return market.Witness((atom,), indicator, low, high, m_low, m_high)
     return None
+
+
+def attainable(
+    tree: market.MarketTree, xi: RandomVariable
+) -> tuple[bool, Optional[tuple[Fraction, dict[str, tuple[Fraction, ...]]]]]:
+    """Solve each internal node, leaves first, for its value and holding.
+
+    In a viable market a solution at every node replicates xi, and an
+    attainable claim's value process solves every node, so a node without a
+    solution decides (False, None).
+    """
+    market._require_viable(tree)
+    values = {leaf: xi.values[tree.space.index(leaf)] for leaf in tree.space.atoms}
+    hedge: dict[str, tuple[Fraction, ...]] = {}
+    for nid in reversed(tree.internal_nodes()):
+        node = tree.node(nid)
+        rows = []
+        rhs = []
+        for kid in tree.children(nid):
+            kid_node = tree.node(kid)
+            moves = [kid_node.prices[k] - node.prices[k] for k in range(tree.asset_count)]
+            rows.append([_F1] + moves)
+            rhs.append(values[kid])
+        solution = linalg.solve_exact(rows, rhs)
+        if solution is None:
+            return False, None
+        values[nid] = solution[0]
+        hedge[nid] = tuple(solution[1:])
+    return True, (values[tree.root], hedge)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each criterion prints a PASS line once its assertions hold.  LP outcomes
 raised by criteria 1-7 are recorded and re-verified wholesale by criterion 8,
 so run the module as a whole (it is also covered by a plain ``pytest``).
-Expected runtime: well under a minute.
+Expected runtime: well under a minute.  The library answers the full
+extension with ``evaluate``, so criteria 2 and 3 also compare it with the
+extension LP of ``fraction_reference``, whose LPs criterion 8 re-verifies.
 
 Criterion 1 is a documented expected failure: it asserts an identity between
 the domination hull and the bipolar that is false for signed bodies on three
@@ -43,6 +45,7 @@ from riskspan import (
     verify_outcome,
 )
 from riskspan.risk import PolyhedralRiskFunction
+import fraction_reference as ref
 from support import (
     CLI_FIXTURE_COMMANDS,
     binomial_tree,
@@ -147,7 +150,7 @@ def test_criterion_02_fenchel_moreau_round_trip():
                 f = random_span_point(rnd, phi.body)
                 direct = evaluate(phi, f)
                 assert direct is not INF
-                assert extend(phi, f, "full") == direct
+                assert extend(phi, f, "full") == direct == ref.extend(phi, f, "full")
                 assert dual_rep_evaluate(phi, f, duals) == direct
                 points += 1
     assert points == 1000
@@ -164,7 +167,7 @@ def test_criterion_03_maximal_extension_properties():
             phi = random_risk(rnd, sp)
             for _ in range(4):
                 f = random_span_point(rnd, phi.body)
-                assert extend(phi, f, "full") == evaluate(phi, f)
+                assert extend(phi, f, "full") == evaluate(phi, f) == ref.extend(phi, f, "full")
                 restriction_points += 1
 
         # midpoint convexity along segments in the span of the solid hull

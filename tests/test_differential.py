@@ -14,6 +14,8 @@ counterexample that is a mirrored single flip of a generator in sol(K)
 outside K.  The gauge read from coordinates over independent generators
 must equal the gauge LP's value, with no LP solved, and so must the full
 extension, read as the risk function itself, equal the extension LP's.
+``attainable``, one solve in the tree's strategy basis, must return the same
+flag, initial capital and hedge as the node-by-node backward replication.
 """
 
 import random
@@ -47,13 +49,16 @@ from riskspan import (
     nonsolidity_witness,
     polar_gauge,
     record_outcomes,
+    replicates,
     solid_check,
     solid_hull,
     solid_hull_member,
     solve,
     span_basis,
+    strategy_basis,
     verify_outcome,
     vertex_enumeration,
+    viability,
 )
 
 import fraction_reference as ref
@@ -731,3 +736,33 @@ def test_solid_check_matches_the_all_flips_oracle():
         assert next(x for x in counter.values if x != 0) > 0
         assert any(counter.values in _mirrored_single_flips(v) for v in body.generators)
     assert min(seen["solid"], seen["not solid"]) >= 100, seen
+
+
+def test_attainable_matches_the_backward_induction_oracle():
+    rnd = random.Random(724)
+    seen: Counter = Counter()
+    for _ in range(300):
+        tree = random_tree(rnd)
+        space = tree.space
+        assert viability(tree)
+        elements = strategy_basis(tree).elements
+        # Dependent gains leave the hedge non-unique; both pin them to 0.
+        seen["dependent basis"] += linalg.rank([e.values for e in elements]) < len(elements)
+        span_claim = RandomVariable.zero(space)
+        for element in elements:
+            span_claim = span_claim + element.scaled(random_fraction(rnd))
+        claims = [("random", random_rv(rnd, space)), ("span", span_claim)]
+        claims += [("indicator", RandomVariable.indicator(space, [a])) for a in space.atoms]
+        for kind, xi in claims:
+            with record_outcomes([]) as lps:
+                got = attainable(tree, xi)
+            assert not lps
+            assert got == ref.attainable(tree, xi)
+            ok, detail = got
+            assert ok or kind != "span"
+            if ok:
+                assert replicates(tree, detail[0], detail[1], xi)
+            seen[kind, ok] += 1
+    assert seen["dependent basis"] >= 30, seen
+    assert seen["random", True] >= 30 and seen["random", False] >= 100, seen
+    assert seen["indicator", True] >= 100 and seen["indicator", False] >= 300, seen

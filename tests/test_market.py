@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from riskspan import (
+    FiniteProbabilitySpace,
     LinearConstraint,
     LinearProgram,
     LPStatus,
@@ -19,6 +20,7 @@ from riskspan import (
     Measure,
     PreconditionError,
     RandomVariable,
+    SpaceMismatchError,
     ValidationError,
     attainable,
     attainable_ball,
@@ -296,6 +298,47 @@ class TestAttainable:
                     tuple(random_fraction(rnd) for _ in tree.space.atoms),
                 )
                 assert attainable(tree, xi)[0] == subspace.contains(xi)
+
+
+class TestReplicatesChecksItsInputs:
+    """A claim on another space, or a hedge without ``asset_count`` assets at
+    every internal node, is refused rather than read."""
+
+    @staticmethod
+    def _replicated(seed: int):
+        rnd = random.Random(seed)
+        tree = random_tree(rnd)
+        xi = RandomVariable.zero(tree.space)
+        for element in strategy_basis(tree).elements:
+            xi = xi + element.scaled(random_fraction(rnd))
+        ok, (initial, hedge) = attainable(tree, xi)
+        assert ok and replicates(tree, initial, hedge, xi)
+        return tree, initial, hedge, xi
+
+    def test_claim_on_another_space_of_the_same_size(self):
+        tree, initial, hedge, xi = self._replicated(31)
+        other = FiniteProbabilitySpace.uniform([f"x{i}" for i in range(tree.space.size)])
+        with pytest.raises(SpaceMismatchError):
+            replicates(tree, initial, hedge, RandomVariable(other, xi.values))
+
+    def test_hedge_missing_a_node(self):
+        tree, initial, hedge, xi = self._replicated(32)
+        partial = dict(hedge)
+        del partial[tree.internal_nodes()[-1]]
+        with pytest.raises(ValidationError, match="no holding"):
+            replicates(tree, initial, partial, xi)
+
+    def test_holding_longer_than_the_asset_count(self):
+        tree, initial, hedge, xi = self._replicated(33)
+        longer = {nid: h + (Fraction(1),) for nid, h in hedge.items()}
+        with pytest.raises(ValidationError, match="asset"):
+            replicates(tree, initial, longer, xi)
+
+    def test_empty_holding(self):
+        tree = binomial_tree()
+        claim = RandomVariable.constant(tree.space, 3)
+        with pytest.raises(ValidationError, match="asset"):
+            replicates(tree, Fraction(3), {"root": ()}, claim)
 
 
 class TestAttainableBall:
@@ -598,9 +641,17 @@ class TestTreeCache:
         assert emm_set(tree) == emm_set(trinomial_tree())
         assert emm_set(tree) is not emm_set(trinomial_tree())
 
+    def test_strategy_basis_is_built_once_and_gives_the_emm_rows(self):
+        rnd = random.Random(25)
+        for tree in [two_period_tree(), single_node_tree()] + [random_tree(rnd) for _ in range(20)]:
+            basis = strategy_basis(tree)
+            assert basis is strategy_basis(tree)
+            assert emm_set(tree).rows == tuple(e.values for e in basis.elements[1:])
+
     def test_cached_values_cannot_be_reassigned(self):
         tree = trinomial_tree()
         emm = emm_set(tree)
+        basis = strategy_basis(tree)
         certificate = viability_certificate(tree)
         witness = nonsolidity_witness(tree)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -612,8 +663,12 @@ class TestTreeCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del tree._viability
         with pytest.raises(dataclasses.FrozenInstanceError):
+            tree._strategy = strategy_basis(binomial_tree())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del tree._strategy
+        with pytest.raises(dataclasses.FrozenInstanceError):
             emm._first_split = None
-        assert emm_set(tree) is emm
+        assert emm_set(tree) is emm and strategy_basis(tree) is basis
         assert viability_certificate(tree) == certificate and viability(tree)
         assert nonsolidity_witness(tree) == witness
 
@@ -625,10 +680,11 @@ class TestTreeCache:
             fresh = pickle.loads(pickle.dumps(tree))
             before = _market_op(tree, *claims)
             used = pickle.loads(pickle.dumps(tree))
+            assert vars(used)["_strategy"] == strategy_basis(tree)
             outcomes: list = []
             with record_outcomes(outcomes):
                 assert _market_op(used, *claims) == before
-            # The pickle carries the cached certificate and split.
+            # The pickle carries the cached basis, certificate and split.
             assert outcomes == []
             assert _market_op(fresh, *claims) == before
         tree = nonviable_tree()
