@@ -6,8 +6,11 @@ so no runtime check is needed for those facts.  When the generators are
 linearly independent, K is a cross-polytope in span(K): a point of the span
 has one coefficient vector c and its gauge is ||c||_1, read from a left
 inverse of the generators with no LP.  Dependent generators take the gauge
-LP.  Polars are never materialised as geometry: they enter only through the
-generator-max formula for their gauge and through membership LPs.
+LP on span(K), and off it the span's echelon form answers INF with no LP.
+Polars are never materialised as geometry: they enter only through the
+generator-max formula for their gauge and through membership LPs.  Every
+point of K obeys the coordinate bound |g_i| <= max_j |v_j(i)|, so a point
+beyond it is outside the solid hull and the bipolar with no LP.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import mul
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import linalg
 from .errors import CertificateError, PreconditionError, SpaceMismatchError, ValidationError
@@ -69,17 +72,24 @@ class AbsolutelyConvexBody:
         return AbsolutelyConvexBody(self.space, tuple(g.scaled(factor) for g in self.generators))
 
     @cached_property
-    def _coordinates(self) -> Optional[_Coordinates]:
-        """The left inverse of independent generators, kept on the value; None
-        for dependent ones."""
-        found = linalg.left_inverse([g.values for g in self.generators])
+    def _coordinates(self) -> Union[_Coordinates, list[tuple[int, int, list[int]]]]:
+        """The left inverse of independent generators; for dependent ones, the
+        ``linalg._echelon`` rows of their span.  One elimination, kept on the
+        value."""
+        span, found = linalg.left_inverse([g.values for g in self.generators])
         if found is None:
-            return None
+            return span
         inverse, den = found
         ints, gen_den = linalg._scaled([v for g in self.generators for v in g.values])
         n = self.space.size
         atoms = tuple(tuple(ints[i::n]) for i in range(n))
         return _Coordinates(inverse, den, atoms, den * gen_den)
+
+    @cached_property
+    def _bound(self) -> tuple[Fraction, ...]:
+        """max_j |v_j(i)| per atom i, kept on the value: every point g of K
+        has |g_i| <= sum_j |c_j| |v_j(i)| <= max_j |v_j(i)|."""
+        return tuple(max(map(abs, column)) for column in zip(*(g.values for g in self.generators)))
 
 
 @dataclass(frozen=True)
@@ -102,16 +112,14 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def _echelon_rows(self) -> tuple[tuple[int, ...], ...]:
+    def _echelon_rows(self) -> tuple[tuple[int, int, list[int]], ...]:
         """The basis as reduced integer rows, eliminated once per subspace."""
-        kept = linalg._echelon([b.values for b in self.basis])
-        return tuple(tuple(row) for _idx, _pcol, row in kept)
+        return tuple(linalg._echelon([b.values for b in self.basis]))
 
     def contains(self, x: RandomVariable) -> bool:
         if x.space != self.space:
             raise SpaceMismatchError("vector lives on a different space")
-        # Rows already in echelon form pass through in_span with no elimination.
-        return linalg.in_span(self._echelon_rows, list(x.values))
+        return linalg.in_span(self._echelon_rows, x.values)
 
 
 @lru_cache(maxsize=128)
@@ -127,20 +135,23 @@ def gauge(body: AbsolutelyConvexBody, x: RandomVariable) -> ExtendedValue:
 
     Independent generators: c = P x by the left inverse P, and the gauge is
     ||c||_1 if sum c_j v_j = x, checked exactly, else INF (on the span,
-    V P x = x).  Otherwise the LP min sum(a_j + b_j) subject to
-    sum (a_j - b_j) v_j = x with a, b >= 0; infeasibility signals x outside
-    span(K).
+    V P x = x).  Otherwise x is reduced against the span's echelon form, INF
+    when it is off the span (where the LP below is infeasible), and on the
+    span the LP min sum(a_j + b_j) subject to sum (a_j - b_j) v_j = x with
+    a, b >= 0 gives the gauge.
     """
     if x.space != body.space:
         raise SpaceMismatchError("point lives on a different space")
     coords = body._coordinates
-    if coords is not None:
+    if isinstance(coords, _Coordinates):
         values, den = linalg._scaled(x.values)
         c = [sum(map(mul, row, values)) for row in coords.inverse]
         for column, v in zip(coords.atoms, values):
             if sum(map(mul, column, c)) != v * coords.scale:
                 return INF
         return Fraction(sum(map(abs, c)), coords.den * den)
+    if not linalg.in_span(coords, x.values):
+        return INF
     m = len(body.generators)
     n = body.space.size
     rows = []
@@ -149,10 +160,8 @@ def gauge(body: AbsolutelyConvexBody, x: RandomVariable) -> ExtendedValue:
         rows.append(LinearConstraint(tuple(coeffs), "=", x.values[i]))
     lp = LinearProgram.minimize([_F1] * (2 * m), rows, lower=[_F0] * (2 * m))
     outcome = solve(lp)
-    if outcome.status is LPStatus.INFEASIBLE:
-        return INF
     if outcome.status is not LPStatus.OPTIMAL:
-        raise CertificateError("gauge LP reported unbounded below zero")
+        raise CertificateError("gauge LP reported no optimum on span(K)")
     return outcome.value
 
 
@@ -180,6 +189,11 @@ def _sign_patterns(support: list[int]) -> Iterable[tuple[int, ...]]:
     return ((1,) + rest for rest in product((1, -1), repeat=len(support) - 1))
 
 
+def _beyond_bound(body: AbsolutelyConvexBody, f: RandomVariable) -> bool:
+    """Whether |f_i| > max_j |v_j(i)| on some atom i, which no point of K allows."""
+    return any(abs(value) > bound for value, bound in zip(f.values, body._bound))
+
+
 def solid_hull_member(
     body: AbsolutelyConvexBody, f: RandomVariable
 ) -> tuple[bool, Optional[RandomVariable]]:
@@ -188,14 +202,18 @@ def solid_hull_member(
     One feasibility LP per sign pattern of g over the support of f (atoms
     where f vanishes impose nothing), with the sign on the first support atom
     fixed to +1: g dominates under a pattern iff -g does under its mirror.
-    Support size is capped at SIGN_PATTERN_ATOM_CAP.
+    Support size is capped at SIGN_PATTERN_ATOM_CAP.  An |f_i| above the
+    coordinate bound of K decides False with no LP.
     """
     if f.space != body.space:
         raise SpaceMismatchError("point lives on a different space")
     support = [i for i, v in enumerate(f.values) if v != 0]
+    patterns = _sign_patterns(support)  # checks the cap first
+    if _beyond_bound(body, f):
+        return False, None
     m = len(body.generators)
     norm_row = LinearConstraint(tuple([_F1] * (2 * m)), "<=", _F1)
-    for pattern in _sign_patterns(support):
+    for pattern in patterns:
         rows = [norm_row]
         for s, i in zip(pattern, support):
             coeffs = [s * g.values[i] for g in body.generators]
@@ -219,10 +237,14 @@ def bipolar_member(body: AbsolutelyConvexBody, f: RandomVariable) -> bool:
     f belongs to the bipolar iff sup over g in the polar of |pairing| is at
     most 1.  Objective and polar constraints depend on |g| only, so the sup
     is a single LP over h = |g| >= 0; an unbounded sup means f has mass on
-    atoms the body never touches.
+    atoms the body never touches.  An |f_i| above M_i = max_j |v_j(i)|
+    decides False with no LP: h = e_i / (mu_i M_i) is feasible with
+    objective |f_i| / M_i > 1, and M_i = 0 leaves the sup unbounded.
     """
     if f.space != body.space:
         raise SpaceMismatchError("point lives on a different space")
+    if _beyond_bound(body, f):
+        return False
     n = body.space.size
     mu = body.space.weights
     rows = []

@@ -116,19 +116,25 @@ def solve_exact(rows: Sequence[Row], rhs: Sequence[Fraction]) -> Optional[list[F
     return x
 
 
-def left_inverse(rows: Sequence[Row]) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Integer rows P and a denominator D > 0 with (P / D) @ transpose(rows) = I.
+def left_inverse(
+    rows: Sequence[Row],
+) -> tuple[list[tuple[int, int, list[int]]], Optional[tuple[tuple[tuple[int, ...], ...], int]]]:
+    """The span of ``rows``, and integer rows P with a denominator D > 0 such
+    that (P / D) @ transpose(rows) = I.
 
     For x in the row span, (P / D) @ x holds the one coefficient vector c with
     sum c_j rows_j = x; independent rows are required, and dependent ones give
-    None.  ``_echelon`` runs over each row beside its unit vector: every
-    reduced row reads [sum_j t_j rows_j | t], so a pivot past the first n
-    columns is a vanishing combination of the rows.
+    None in place of (P, D).  ``_echelon`` runs over each row beside its unit
+    vector: every reduced row reads [sum_j t_j rows_j | t], so a pivot past
+    the first n columns is a vanishing combination of the rows, and the
+    reduced rows with a pivot among the first n columns, cut to those
+    columns, are an ``_echelon`` result for the span.
     """
     m, n = len(rows), len(rows[0])
     kept = _echelon([list(row) + [int(j == k) for k in range(m)] for j, row in enumerate(rows)])
-    if any(pcol >= n for _idx, pcol, _row in kept):
-        return None
+    span = [(idx, pcol, row[:n]) for idx, pcol, row in kept if pcol < n]
+    if len(span) < m:
+        return span, None
     # Afterwards each row is zero at every other row's pivot, so
     # x = sum_k (x[p_k] / row_k[p_k]) * row_k on the span.
     _back_substitute(kept)
@@ -138,13 +144,9 @@ def left_inverse(rows: Sequence[Row]) -> Optional[tuple[tuple[tuple[int, ...], .
         factor = den // row[pcol]
         for j in range(m):
             inverse[j][pcol] = row[n + j] * factor
-    return tuple(tuple(row) for row in inverse), den
+    return span, (tuple(tuple(row) for row in inverse), den)
 
 
-def in_span(rows: Sequence[Row], vector: Row) -> bool:
-    """Whether ``vector`` lies in the row span of ``rows``."""
-    if all(v == 0 for v in vector):
-        return True
-    if not rows:
-        return False
-    return not any(_reduce(_echelon(rows), _scaled(vector)[0]))
+def in_span(kept: Sequence[tuple[int, int, list[int]]], vector: Row) -> bool:
+    """Whether ``vector`` lies in the span of an ``_echelon`` result."""
+    return not any(_reduce(kept, _scaled(vector)[0]))

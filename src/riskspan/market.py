@@ -395,15 +395,20 @@ def replicates(
 ) -> bool:
     """Exact check that the strategy reproduces the claim leaf by leaf.
 
-    The hedge must hold ``asset_count`` assets at every internal node.
+    The hedge must hold ``asset_count`` assets at every internal node, and
+    at no other node id.
     """
     if xi.space != tree.space:
         raise SpaceMismatchError("claim lives on a different space")
-    for nid in tree.internal_nodes():
+    internal = tree.internal_nodes()
+    for nid in internal:
         if nid not in hedge:
             raise ValidationError(f"hedge has no holding for internal node {nid!r}")
         if len(hedge[nid]) != tree.asset_count:
             raise ValidationError(f"holding at node {nid!r} needs {tree.asset_count} asset(s)")
+    if len(hedge) != len(internal):
+        extra = next(nid for nid in hedge if nid not in internal)
+        raise ValidationError(f"hedge holds {extra!r}, which is not an internal node")
     value: dict[str, Fraction] = {tree.root: initial}
     order = sorted(tree.nodes, key=lambda nd: (nd.time, nd.node_id))
     for node in order:

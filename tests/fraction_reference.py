@@ -48,7 +48,13 @@ errors.
 as ``riskspan.bodies`` did before it tested only the single-coordinate
 flips (2^(s-1) membership LPs for a support of size s, against at most s).
 The library must return the same verdict; its counterexample may be a
-different point of sol(K) outside K.
+different point of sol(K) outside K.  ``gauge``, ``solid_hull_member`` and
+``bipolar_member`` solve their LPs at every point, as ``riskspan.bodies``
+did before it decided points off span(K) and beyond the coordinate bound
+with no LP: the gauge LP over any generators, one feasibility LP per sign
+pattern in a flat loop, and the polar LP.  They solve through
+``riskspan.exactlp.solve``, so ``record_outcomes`` counts their LPs.  The
+library must return the same values, flags and witnesses.
 """
 
 from __future__ import annotations
@@ -680,6 +686,59 @@ def solid_check(body: AbsolutelyConvexBody) -> tuple[bool, Optional[RandomVariab
             if not member(body, candidate):
                 return False, candidate
     return True, None
+
+
+def gauge(body: AbsolutelyConvexBody, x: RandomVariable) -> ExtendedValue:
+    """The gauge LP min sum(a_j + b_j), sum (a_j - b_j) v_j = x, a, b >= 0;
+    INF when it is infeasible."""
+    m = len(body.generators)
+    rows = []
+    for i in range(body.space.size):
+        coeffs = [g.values[i] for g in body.generators] + [-g.values[i] for g in body.generators]
+        rows.append(LinearConstraint(tuple(coeffs), "=", x.values[i]))
+    outcome = exactlp.solve(LinearProgram.minimize([_F1] * (2 * m), rows, lower=[_F0] * (2 * m)))
+    if outcome.status is LPStatus.INFEASIBLE:
+        return INF
+    return outcome.value
+
+
+def solid_hull_member(
+    body: AbsolutelyConvexBody, f: RandomVariable
+) -> tuple[bool, Optional[RandomVariable]]:
+    """One feasibility LP per sign pattern with a + on the first support
+    atom, in ``product`` order, until one is feasible."""
+    support = [i for i, v in enumerate(f.values) if v != 0]
+    m = len(body.generators)
+    norm_row = LinearConstraint(tuple([_F1] * (2 * m)), "<=", _F1)
+    for rest in product((1, -1), repeat=max(len(support) - 1, 0)):
+        rows = [norm_row]
+        for s, i in zip((1,) + rest, support):
+            coeffs = [s * g.values[i] for g in body.generators]
+            coeffs += [-s * g.values[i] for g in body.generators]
+            rows.append(LinearConstraint(tuple(coeffs), ">=", abs(f.values[i])))
+        outcome = exactlp.solve(LinearProgram.minimize([_F0] * (2 * m), rows, lower=[_F0] * (2 * m)))
+        if outcome.status is LPStatus.OPTIMAL:
+            point = outcome.point
+            values = [
+                sum((point[j] - point[m + j]) * g.values[i] for j, g in enumerate(body.generators))
+                for i in range(body.space.size)
+            ]
+            return True, RandomVariable(body.space, tuple(values))
+    return False, None
+
+
+def bipolar_member(body: AbsolutelyConvexBody, f: RandomVariable) -> bool:
+    """The polar LP: max sum mu_i |f_i| h_i subject to
+    sum_i mu_i |v_j(i)| h_i <= 1 for every generator, h >= 0; at most 1."""
+    n = body.space.size
+    mu = body.space.weights
+    rows = [
+        LinearConstraint(tuple(mu[i] * abs(g.values[i]) for i in range(n)), "<=", _F1)
+        for g in body.generators
+    ]
+    objective = [-(mu[i] * abs(f.values[i])) for i in range(n)]
+    outcome = exactlp.solve(LinearProgram.minimize(objective, rows, lower=[_F0] * n))
+    return outcome.status is LPStatus.OPTIMAL and -outcome.value <= _F1
 
 
 # ---------------------------------------------------------------------------

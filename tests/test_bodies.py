@@ -14,6 +14,7 @@ from riskspan import (
     LinearConstraint,
     LinearProgram,
     LPStatus,
+    PreconditionError,
     RandomVariable,
     ValidationError,
     abs_pairing,
@@ -90,11 +91,15 @@ class TestGauge:
         used = pickle.loads(pickle.dumps(K))
         assert used == K and "_coordinates" in used.__dict__
         assert gauge(used, x) == Fraction(7, 2)
-        # A third generator in the same 2-dimensional span: dependent.
+        # A third generator in the same 2-dimensional span: dependent, so the
+        # body keeps an echelon form of the span, which rules out an
+        # off-span point with no LP.
         dependent = AbsolutelyConvexBody(sp, K.generators + (x,))
         with record_outcomes([]) as lps:
             assert gauge(dependent, x) == 1
-        assert dependent._coordinates is None and len(lps) == 1
+            assert gauge(dependent, RandomVariable.of(sp, [1, 0, 0])) is INF
+        assert isinstance(dependent._coordinates, list)
+        assert len(dependent._coordinates) == 2 and len(lps) == 1
 
 
 class TestMember:
@@ -178,6 +183,23 @@ class TestSolidHullMember:
         sp = uniform(2)
         inside, witness = solid_hull_member(diag_body(sp), RandomVariable.of(sp, ["3/2", 0]))
         assert not inside and witness is None
+
+    def test_beyond_the_coordinate_bound_solves_no_lp(self):
+        # Every point of K has |g_i| <= max_j |v_j(i)|: 1 on both atoms of the
+        # diagonal, 0 on the third atom of the 3-atom cross.
+        sp = uniform(2)
+        f = RandomVariable.of(sp, [1, "-3/2"])
+        with record_outcomes([]) as lps:
+            assert solid_hull_member(diag_body(sp), f) == (False, None)
+            assert not bipolar_member(diag_body(sp), f)
+            untouched = AbsolutelyConvexBody.of(uniform(3), [[1, 0, 0], [0, 1, 0]])
+            assert not bipolar_member(untouched, RandomVariable.of(untouched.space, [0, 0, "1/9"]))
+        assert lps == []
+        # The sign-pattern cap is checked before the bound.
+        big = uniform(13)
+        K = AbsolutelyConvexBody.of(big, [[1] * 13])
+        with pytest.raises(PreconditionError, match="sign-pattern cap"):
+            solid_hull_member(K, RandomVariable.of(big, [2] * 13))
 
     def test_non_member_solves_one_lp_per_mirror_pair(self):
         # K = -K: of the 2^4 sign patterns over a 4-atom support, only the

@@ -16,6 +16,10 @@ must equal the gauge LP's value, with no LP solved, and so must the full
 extension, read as the risk function itself, equal the extension LP's.
 ``attainable``, one solve in the tree's strategy basis, must return the same
 flag, initial capital and hedge as the node-by-node backward replication.
+The gauge, the solid-hull test and the bipolar test, which decide points
+off span(K) and beyond the coordinate bound with no LP, must return the same
+values, flags and witnesses as the LP-only versions that solve at every
+point.
 """
 
 import random
@@ -37,6 +41,7 @@ from riskspan import (
     PreconditionError,
     RandomVariable,
     attainable,
+    bipolar_member,
     conjugate,
     emm_set,
     evaluate,
@@ -171,7 +176,7 @@ def _library_programs(rnd: random.Random, instances: int) -> list:
 
 
 def test_library_programs_match_the_reference():
-    recorded = _library_programs(random.Random(608), 6)
+    recorded = _library_programs(random.Random(608), 10)
     assert len(recorded) > 50
     for lp, outcome in recorded:
         assert outcome == ref.solve(lp)
@@ -370,8 +375,8 @@ def test_eliminations_match_the_reference():
         inside = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(n)]
         outside = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
         for vector in (inside, outside, [Fraction(0)] * n):
-            assert linalg.in_span(rows, vector) == ref.in_span(rows, vector)
-        assert linalg.in_span(rows, inside)
+            assert linalg.in_span(linalg._echelon(rows), vector) == ref.in_span(rows, vector)
+        assert linalg.in_span(linalg._echelon(rows), inside)
     assert deficient > 100
     assert linalg.rank([]) == 0 and linalg.solve_exact([], []) == []
     assert not linalg.in_span([], [Fraction(1)])
@@ -382,10 +387,21 @@ def test_left_inverse_inverts_independent_rows():
     seen: Counter = Counter()
     for _ in range(500):
         rows = _random_matrix(rnd)
-        found = linalg.left_inverse(rows)
-        independent = ref.rank(rows) == len(rows)
+        span, found = linalg.left_inverse(rows)
+        rank = ref.rank(rows)
+        independent = rank == len(rows)
         assert (found is not None) == independent
         seen["independent" if independent else "dependent"] += 1
+        # The span comes as an echelon form that in_span reduces against.
+        assert len(span) == rank
+        n = len(rows[0])
+        weights = [Fraction(rnd.randint(-2, 2), rnd.choice((1, 3))) for _ in rows]
+        inside = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(n)]
+        outside = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
+        for vector in (inside, outside):
+            assert linalg.in_span(span, vector) == ref.in_span(rows, vector)
+        assert linalg.in_span(span, inside)
+        seen["off span"] += not ref.in_span(rows, outside)
         if found is None:
             continue
         inverse, den = found
@@ -620,7 +636,7 @@ def test_subspace_contains_matches_in_span_on_the_basis_rows():
         sub = span_basis(body)
         rows = [list(b.values) for b in sub.basis]
         for x in (random_span_point(rnd, body), random_rv(rnd, body.space)):
-            assert sub.contains(x) == linalg.in_span(rows, list(x.values))
+            assert sub.contains(x) == linalg.in_span(linalg._echelon(rows), list(x.values))
             assert sub.contains(x) == ref.in_span(rows, list(x.values))
 
 
@@ -690,14 +706,81 @@ def test_coordinate_gauge_matches_the_gauge_lp():
             assert value == expected, (body, x)
             assert type(value) is type(expected)
             assert inside == (expected <= 1)
+            # The dependent body solves its gauge LP on the span only.
             with record_outcomes([]) as lps:
                 assert gauge(dependent, x) == value
-            assert len(lps) == 1
+            assert len(lps) == (0 if value is INF else 1)
             seen[kind, "inf" if value is INF else "inside" if inside else "outside"] += 1
         assert gauge(body, generator) == 1
         assert gauge(body, RandomVariable.zero(space)) == 0
     assert seen["random", "inf"] >= 100 and seen["span", "outside"] >= 100, seen
     assert seen["member", "inside"] == 300 and seen["random", "outside"] >= 20, seen
+
+
+def _body_points(rnd: random.Random, body) -> dict:
+    """Members, non-members beyond and within the coordinate bound (the
+    latter mostly off the span) and points with zero entries."""
+    space = body.space
+    bound = [max(abs(g.values[i]) for g in body.generators) for i in range(space.size)]
+    top = max(body.generators, key=lambda g: max(map(abs, g.values)))
+    within = [b * rnd.choice((1, -1)) * Fraction(rnd.randint(2, 4), 4) for b in bound]
+    sparse = list(random_member(rnd, body).values)
+    for i in rnd.sample(range(space.size), rnd.randint(1, max(1, space.size // 3))):
+        sparse[i] = Fraction(0)
+    return {
+        "member": random_member(rnd, body),
+        "at the bound": top,  # in K, with |f_i| = max_j |v_j(i)| on some atom
+        "beyond": rnd.choice(body.generators).scaled(Fraction(rnd.randint(5, 8), 4)),
+        "within": RandomVariable(space, tuple(within)),
+        "zeros": RandomVariable(space, tuple(sparse)),
+    }
+
+
+def _lps(fn, *args) -> tuple:
+    with record_outcomes([]) as lps:
+        result = fn(*args)
+    return result, [lp for lp, _outcome in lps]
+
+
+def test_body_questions_match_the_lp_only_oracles():
+    """The coordinate bound and the span test change no flag, witness or
+    value, and each question solves the oracle's LPs, in its order, or none
+    when the bound or the span test decides it."""
+    rnd = random.Random(631)
+    seen: Counter = Counter()
+    for trial in range(300):
+        # Each size from 1 to 9 atoms 4 times, then sizes up to 6: the
+        # flat loop solves up to 256 LPs per non-member on 9 atoms.
+        space = random_space(rnd, trial % 9 + 1 if trial < 36 else rnd.randint(1, 6))
+        body = random_body(rnd, space, 4)
+        dependent = AbsolutelyConvexBody(space, body.generators + (random_member(rnd, body),))
+        for kind, f in _body_points(rnd, body).items():
+            support = sum(v != 0 for v in f.values)
+            beyond = any(
+                abs(v) > max(abs(g.values[i]) for g in body.generators)
+                for i, v in enumerate(f.values)
+            )
+            (inside, witness), lps = _lps(solid_hull_member, body, f)
+            expected, ref_lps = _lps(ref.solid_hull_member, body, f)
+            assert (inside, witness) == expected, (body, f)
+            assert lps == ([] if beyond else ref_lps)
+            seen["hull member" if inside else "beyond" if beyond else "within, not member"] += 1
+
+            polar, lps = _lps(bipolar_member, body, f)
+            expected, ref_lps = _lps(ref.bipolar_member, body, f)
+            assert polar == expected and len(ref_lps) == 1
+            assert len(lps) == (0 if beyond else 1)
+            seen["bipolar member" if polar else "bipolar non-member"] += 1
+
+            value, lps = _lps(gauge, dependent, f)
+            expected, ref_lps = _lps(ref.gauge, dependent, f)
+            assert value == expected and type(value) is type(expected)
+            assert len(ref_lps) == 1 and len(lps) == (0 if value is INF else 1)
+            seen["off span" if value is INF else "on span"] += 1
+            seen["zero entries"] += 0 < support < space.size
+            if kind != "zeros":
+                seen[kind, "on 6+ atoms"] += support >= 6
+    assert min(seen.values()) >= 40, seen
 
 
 def _mirrored_single_flips(v: RandomVariable) -> set:

@@ -227,6 +227,15 @@ class TestAttainable:
         assert hedge["root"] == (Fraction(1),)
         assert replicates(tree, initial, hedge, xi)
 
+    def test_hedge_with_an_unknown_node_is_rejected(self):
+        tree = binomial_tree()
+        xi = RandomVariable.of(tree.space, [2, "1/2"])
+        _ok, (initial, hedge) = attainable(tree, xi)
+        for extra in ("nosuch", "u"):  # an unknown id, and a leaf
+            with pytest.raises(ValidationError, match=repr(extra)):
+                replicates(tree, initial, {**hedge, extra: (Fraction(5), Fraction(6))}, xi)
+        assert replicates(tree, initial, hedge, xi)
+
     def test_trinomial_indicator_not_attainable(self):
         tree = trinomial_tree()
         ok, detail = attainable(tree, RandomVariable.indicator(tree.space, ["u"]))

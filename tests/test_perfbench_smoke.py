@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["market_tree", "risk_desk", "cli_batch"])
+@pytest.mark.parametrize("workload", ["body_lp", "market_tree", "risk_desk", "cli_batch"])
 def test_traced_run_fires_every_wrapper_and_passes_its_checks(workload):
     result = subprocess.run(
         [
